@@ -17,6 +17,12 @@ namespace datacell {
 /// exactly the split the router performs at runtime. Do not change one side
 /// without the other; the hash_test suite locks the concrete values.
 ///
+/// The router hashes the typed key column of a ColumnBatch, i.e. each key
+/// after coercion to the column type (row ingest transposes first, so an
+/// int64 literal sent to a double key column hashes as that double). The
+/// oracle calls HashValue on values read from typed tables, which carry the
+/// column type already — the same bytes either way.
+///
 /// Conventions shared by both sides:
 ///   - nulls hash to 0 (null-key rows co-locate on shard 0),
 ///   - -0.0 folds onto +0.0 before mixing (they compare equal in SQL, so
@@ -60,8 +66,8 @@ inline uint64_t HashString(std::string_view v) {
 }
 
 /// Row-hash of one peripheral value; the boxed entry point the oracle uses
-/// (the router goes through the typed helpers above on raw BAT columns —
-/// same bytes, same result).
+/// on typed-table values (the router goes through the typed helpers above
+/// on raw BAT columns — same bytes, same result).
 inline uint64_t HashValue(const Value& v) {
   if (v.is_null()) return 0;
   if (v.is_bool()) return HashBool(v.bool_value());

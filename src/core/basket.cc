@@ -1,5 +1,7 @@
 #include "core/basket.h"
 
+#include <type_traits>
+
 #include "common/check.h"
 #include "common/string_util.h"
 #include "storage/batch_pool.h"
@@ -113,15 +115,58 @@ void Basket::TestOnlyCorruptWatermark(size_t reader_id) {
 }
 #endif  // DATACELL_DEBUG_CHECKS_ENABLED
 
-Status Basket::Append(const Row& values, Timestamp ts) {
-  Row full = values;
-  full.push_back(Value::TimestampVal(ts));
+namespace {
+
+// Column access over the two append sources: a ColumnBatch holds its BATs
+// by value, a Table by shared pointer.
+Bat& SourceColumn(ColumnBatch& src, size_t c) { return src.column(c); }
+const Bat& SourceColumn(const ColumnBatch& src, size_t c) {
+  return src.column(c);
+}
+Bat& SourceColumn(Table& src, size_t c) { return *src.column(c); }
+const Bat& SourceColumn(const Table& src, size_t c) { return *src.column(c); }
+
+}  // namespace
+
+template <typename Source>
+Status Basket::CommitAppend(Source& src, std::optional<Timestamp> stamp) {
+  // A stamped source carries the user columns only; otherwise its trailing
+  // column is the ts each tuple already carries.
+  const Schema& full = schema();
+  const size_t cols = stamp.has_value() ? full.num_fields() - 1
+                                        : full.num_fields();
+  if (src.num_columns() != cols) {
+    return Status::InvalidArgument(
+        "append of " + std::to_string(src.num_columns()) +
+        " columns does not match basket '" + name() + "' arity " +
+        std::to_string(cols) + (stamp.has_value() ? "" : " (with ts)"));
+  }
+  for (size_t c = 0; c < cols; ++c) {
+    DataType got = SourceColumn(src, c).type();
+    if (got != full.field(c).type) {
+      return Status::TypeError("column '" + full.field(c).name +
+                               "': appended column is " +
+                               DataTypeToString(got) + ", basket column is " +
+                               DataTypeToString(full.field(c).type));
+    }
+  }
+  const size_t n = src.num_rows();
+  if (n == 0) return Status::OK();
   {
     std::unique_lock<std::mutex> lock = LockTraced();
     DC_LOCK_ORDER(&mu_, "basket", name());
-    DC_RETURN_NOT_OK(table_->AppendRow(full));
-    ++total_appended_;
-    ShedLocked(1);
+    for (size_t c = 0; c < cols; ++c) {
+      if constexpr (std::is_const_v<Source>) {
+        table_->column(c)->AppendBat(SourceColumn(src, c));
+      } else {
+        table_->column(c)->TakeContentFrom(SourceColumn(src, c));
+      }
+    }
+    if (stamp.has_value()) {
+      table_->column(ts_column())->AppendConstantInt64(*stamp, n);
+    }
+    total_appended_ += static_cast<int64_t>(n);
+    ShedLocked(n);
     NoteOccupancyLocked();
     CheckInvariantsLocked();
   }
@@ -129,177 +174,38 @@ Status Basket::Append(const Row& values, Timestamp ts) {
   return Status::OK();
 }
 
+Status Basket::Append(const Row& values, Timestamp ts) {
+  return AppendBatch({values}, ts);
+}
+
 Status Basket::AppendBatch(const std::vector<Row>& rows, Timestamp ts) {
-  if (rows.empty()) return Status::OK();
-  // Compatibility shim over the columnar path: validate once per batch (a
-  // cheap boolean test per value — the detailed Status is built only on the
-  // failure path) and transpose outside the basket lock.
-  size_t user_cols = user_schema_.num_fields();
-  for (const Row& r : rows) {
-    if (r.size() != user_cols) {
-      return Status::InvalidArgument(
-          "tuple arity " + std::to_string(r.size()) + " does not match stream '" +
-          name() + "' arity " + std::to_string(user_cols));
-    }
-    for (size_t c = 0; c < user_cols; ++c) {
-      if (!ValueMatchesType(r[c], user_schema_.field(c).type)) {
-        Status st = CheckValueType(r[c], user_schema_.field(c).type);
-        return Status::TypeError("column '" + user_schema_.field(c).name +
-                                 "': " + st.message());
-      }
-    }
-  }
   ColumnBatch batch(user_schema_);
-  for (const Row& r : rows) batch.AppendRowUnchecked(r);
+  DC_RETURN_NOT_OK(batch.AppendRows(rows));
   return AppendColumns(std::move(batch), ts);
 }
 
 Status Basket::AppendColumns(ColumnBatch&& batch, Timestamp ts) {
-  if (batch.num_rows() == 0) return Status::OK();
-  DC_RETURN_NOT_OK(AppendColumnsLocked(&batch, ts, /*steal=*/true));
-  NotifyAppend();
-  return Status::OK();
+  return CommitAppend(batch, ts);
 }
 
 Status Basket::AppendColumnsCopy(const ColumnBatch& batch, Timestamp ts) {
-  if (batch.num_rows() == 0) return Status::OK();
-  // steal=false never mutates the batch; the const_cast only unifies the
-  // locked implementation.
-  DC_RETURN_NOT_OK(AppendColumnsLocked(const_cast<ColumnBatch*>(&batch), ts,
-                                       /*steal=*/false));
-  NotifyAppend();
-  return Status::OK();
-}
-
-Status Basket::AppendColumnsLocked(ColumnBatch* batch, Timestamp ts,
-                                   bool steal) {
-  std::unique_lock<std::mutex> lock = LockTraced();
-  DC_LOCK_ORDER(&mu_, "basket", name());
-  size_t user_cols = table_->num_columns() - 1;
-  if (batch->num_columns() != user_cols) {
-    return Status::InvalidArgument(
-        "column batch arity " + std::to_string(batch->num_columns()) +
-        " does not match stream '" + name() + "' arity " +
-        std::to_string(user_cols));
-  }
-  for (size_t c = 0; c < user_cols; ++c) {
-    if (batch->column(c).type() != table_->column(c)->type()) {
-      return Status::TypeError(
-          "column '" + table_->schema().field(c).name + "': batch column is " +
-          DataTypeToString(batch->column(c).type()) + ", stream column is " +
-          DataTypeToString(table_->column(c)->type()));
-    }
-  }
-  size_t n = batch->num_rows();
-  for (size_t c = 0; c < user_cols; ++c) {
-    DC_DCHECK_EQ(batch->column(c).size(), n);
-    if (steal) {
-      table_->column(c)->TakeContentFrom(batch->column(c));
-    } else {
-      table_->column(c)->AppendBat(batch->column(c));
-    }
-  }
-  table_->column(user_cols)->AppendConstantInt64(ts, n);
-  total_appended_ += static_cast<int64_t>(n);
-  ShedLocked(n);
-  NoteOccupancyLocked();
-  CheckInvariantsLocked();
-  return Status::OK();
+  return CommitAppend(batch, ts);
 }
 
 Status Basket::AppendWithTs(const Table& rows_with_ts) {
-  {
-    std::unique_lock<std::mutex> lock = LockTraced();
-    DC_LOCK_ORDER(&mu_, "basket", name());
-    DC_RETURN_NOT_OK(table_->AppendTable(rows_with_ts));
-    total_appended_ += static_cast<int64_t>(rows_with_ts.num_rows());
-    ShedLocked(rows_with_ts.num_rows());
-    NoteOccupancyLocked();
-    CheckInvariantsLocked();
-  }
-  if (rows_with_ts.num_rows() > 0) NotifyAppend();
-  return Status::OK();
-}
-
-Status Basket::CheckStampedLocked(const Table& rows) const {
-  size_t n_cols = table_->num_columns();
-  if (rows.num_columns() != n_cols - 1) {
-    return Status::InvalidArgument(
-        "stamped append arity mismatch: got " +
-        std::to_string(rows.num_columns()) + " columns, basket '" + name() +
-        "' holds " + std::to_string(n_cols - 1) + " (plus ts)");
-  }
-  for (size_t c = 0; c + 1 < n_cols; ++c) {
-    if (table_->column(c)->type() != rows.column(c)->type()) {
-      return Status::TypeError("stamped append type mismatch at column " +
-                               std::to_string(c));
-    }
-  }
-  return Status::OK();
-}
-
-Status Basket::AppendStamped(const Table& rows, Timestamp ts) {
-  {
-    std::unique_lock<std::mutex> lock = LockTraced();
-    DC_LOCK_ORDER(&mu_, "basket", name());
-    DC_RETURN_NOT_OK(CheckStampedLocked(rows));
-    size_t n_cols = table_->num_columns();
-    for (size_t c = 0; c + 1 < n_cols; ++c) {
-      table_->column(c)->AppendBat(*rows.column(c));
-    }
-    table_->column(n_cols - 1)->AppendConstantInt64(ts, rows.num_rows());
-    total_appended_ += static_cast<int64_t>(rows.num_rows());
-    ShedLocked(rows.num_rows());
-    NoteOccupancyLocked();
-    CheckInvariantsLocked();
-  }
-  if (rows.num_rows() > 0) NotifyAppend();
-  return Status::OK();
-}
-
-Status Basket::AppendStampedMove(Table&& rows, Timestamp ts) {
-  size_t n = rows.num_rows();
-  {
-    std::unique_lock<std::mutex> lock = LockTraced();
-    DC_LOCK_ORDER(&mu_, "basket", name());
-    DC_RETURN_NOT_OK(CheckStampedLocked(rows));
-    size_t n_cols = table_->num_columns();
-    for (size_t c = 0; c + 1 < n_cols; ++c) {
-      table_->column(c)->TakeContentFrom(*rows.column(c));
-    }
-    table_->column(n_cols - 1)->AppendConstantInt64(ts, n);
-    total_appended_ += static_cast<int64_t>(n);
-    ShedLocked(n);
-    NoteOccupancyLocked();
-    CheckInvariantsLocked();
-  }
-  if (n > 0) NotifyAppend();
-  return Status::OK();
+  return CommitAppend(rows_with_ts, std::nullopt);
 }
 
 Status Basket::AppendWithTsMove(Table&& rows_with_ts) {
-  size_t n = rows_with_ts.num_rows();
-  {
-    std::unique_lock<std::mutex> lock = LockTraced();
-    DC_LOCK_ORDER(&mu_, "basket", name());
-    if (rows_with_ts.num_columns() != table_->num_columns()) {
-      return Status::InvalidArgument("appending table with different arity");
-    }
-    for (size_t c = 0; c < table_->num_columns(); ++c) {
-      if (table_->column(c)->type() != rows_with_ts.column(c)->type()) {
-        return Status::TypeError("column type mismatch in AppendTable");
-      }
-    }
-    for (size_t c = 0; c < table_->num_columns(); ++c) {
-      table_->column(c)->TakeContentFrom(*rows_with_ts.column(c));
-    }
-    total_appended_ += static_cast<int64_t>(n);
-    ShedLocked(n);
-    NoteOccupancyLocked();
-    CheckInvariantsLocked();
-  }
-  if (n > 0) NotifyAppend();
-  return Status::OK();
+  return CommitAppend(rows_with_ts, std::nullopt);
+}
+
+Status Basket::AppendStamped(const Table& rows, Timestamp ts) {
+  return CommitAppend(rows, ts);
+}
+
+Status Basket::AppendStampedMove(Table&& rows, Timestamp ts) {
+  return CommitAppend(rows, ts);
 }
 
 void Basket::SetCapacity(size_t max_tuples, DropPolicy policy) {

@@ -68,11 +68,14 @@ class Basket {
   void SetBatchPool(BatchPool* pool);
 
   // --- producer side ----------------------------------------------------
+  // Every append below is a thin wrapper over one locked commit
+  // (CommitAppend): all or nothing, validated before the lock is taken.
+
   /// Appends one stream tuple (without ts); `ts` is stamped on.
   Status Append(const Row& values, Timestamp ts);
-  /// Appends many tuples with the same arrival timestamp. Compatibility shim
-  /// over AppendColumns: the rows are validated once per batch and
-  /// transposed into a ColumnBatch outside the basket lock.
+  /// Appends many tuples with the same arrival timestamp: validated and
+  /// transposed once (ColumnBatch::AppendRows) outside the basket lock,
+  /// then appended as columns.
   Status AppendBatch(const std::vector<Row>& rows, Timestamp ts);
   /// Moves a typed columnar batch in, stamping every tuple with `ts`. When
   /// the basket is empty the buffers are swapped in (zero-copy) and `batch`
@@ -205,12 +208,17 @@ class Basket {
 #endif
 
  private:
-  /// Validates batch arity/types against the user schema (one check per
-  /// column, not per value) and appends under the lock. `steal` moves the
-  /// buffers; otherwise they are copied.
-  Status AppendColumnsLocked(ColumnBatch* batch, Timestamp ts, bool steal);
-  /// Arity/type validation shared by the stamped-append paths.
-  Status CheckStampedLocked(const Table& rows) const;
+  /// The one append commit behind every public append. Checks `src`'s
+  /// arity and column types against the basket (user columns when `stamp`
+  /// is set, else user columns plus the carried ts column), then under the
+  /// lock moves the columns in, stamps `*stamp` or keeps the carried ts,
+  /// and does the append book-keeping: flow counter, shedding, high-water
+  /// mark, invariants. Wakes the scheduler after an append that added
+  /// tuples. `Source` is a possibly const ColumnBatch or Table: a non-const
+  /// source is stolen from (Bat::TakeContentFrom, left empty), a const one
+  /// copied.
+  template <typename Source>
+  Status CommitAppend(Source& src, std::optional<Timestamp> stamp);
   /// Fresh drain-result table: pooled buffers when a pool is wired.
   TablePtr AcquireDrainTableLocked() const;
   TablePtr DrainPositionsLocked(const std::vector<size_t>& positions);

@@ -310,25 +310,9 @@ Status Engine::IngestBatch(const std::string& name,
   if (stream == nullptr) {
     return Status::NotFound("unknown stream '" + name + "'");
   }
-  Timestamp ts = clock_->Now();
-  // Route to "the proper baskets" (§2.1) for the strategies in use.
-  if (stream->chain_head != nullptr) {
-    DC_RETURN_NOT_OK(stream->chain_head->AppendBatch(rows, ts));
-  } else if (!stream->replicas.empty()) {
-    for (const BasketPtr& replica : stream->replicas) {
-      DC_RETURN_NOT_OK(replica->AppendBatch(rows, ts));
-    }
-    if (stream->shared_used) {
-      DC_RETURN_NOT_OK(stream->base->AppendBatch(rows, ts));
-    }
-  } else {
-    // Shared consumers, or no consumer yet (the basket buffers and remains
-    // inspectable by one-time queries, §2.6).
-    DC_RETURN_NOT_OK(stream->base->AppendBatch(rows, ts));
-  }
-  tuples_ingested_.fetch_add(static_cast<int64_t>(rows.size()),
-                             std::memory_order_relaxed);
-  return Status::OK();
+  ColumnBatch batch(stream->user_schema);
+  DC_RETURN_NOT_OK(batch.AppendRows(rows));
+  return IngestColumns(name, std::move(batch));
 }
 
 Status Engine::IngestColumns(const std::string& name, ColumnBatch&& batch) {
@@ -338,6 +322,7 @@ Status Engine::IngestColumns(const std::string& name, ColumnBatch&& batch) {
   }
   Timestamp ts = clock_->Now();
   int64_t n = static_cast<int64_t>(batch.num_rows());
+  // Route to "the proper baskets" (§2.1) for the strategies in use.
   if (stream->chain_head != nullptr) {
     DC_RETURN_NOT_OK(stream->chain_head->AppendColumns(std::move(batch), ts));
   } else if (!stream->replicas.empty()) {
@@ -352,6 +337,8 @@ Status Engine::IngestColumns(const std::string& name, ColumnBatch&& batch) {
     // kept) so receptors can refill it unconditionally.
     batch.Clear();
   } else {
+    // Shared consumers, or no consumer yet (the basket buffers and remains
+    // inspectable by one-time queries, §2.6).
     DC_RETURN_NOT_OK(stream->base->AppendColumns(std::move(batch), ts));
   }
   tuples_ingested_.fetch_add(n, std::memory_order_relaxed);
@@ -359,26 +346,11 @@ Status Engine::IngestColumns(const std::string& name, ColumnBatch&& batch) {
 }
 
 Status Engine::IngestTable(const std::string& name, const Table& batch) {
-  StreamInfo* stream = FindStream(name);
-  if (stream == nullptr) {
-    return Status::NotFound("unknown stream '" + name + "'");
+  ColumnBatch columns(batch.schema());
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    columns.column(c).AppendBat(*batch.column(c));
   }
-  Timestamp ts = clock_->Now();
-  if (stream->chain_head != nullptr) {
-    DC_RETURN_NOT_OK(stream->chain_head->AppendStamped(batch, ts));
-  } else if (!stream->replicas.empty()) {
-    for (const BasketPtr& replica : stream->replicas) {
-      DC_RETURN_NOT_OK(replica->AppendStamped(batch, ts));
-    }
-    if (stream->shared_used) {
-      DC_RETURN_NOT_OK(stream->base->AppendStamped(batch, ts));
-    }
-  } else {
-    DC_RETURN_NOT_OK(stream->base->AppendStamped(batch, ts));
-  }
-  tuples_ingested_.fetch_add(static_cast<int64_t>(batch.num_rows()),
-                             std::memory_order_relaxed);
-  return Status::OK();
+  return IngestColumns(name, std::move(columns));
 }
 
 Result<Receptor*> Engine::AttachReceptor(const std::string& name,
@@ -1365,7 +1337,7 @@ analysis::AnalysisReport Engine::Analyze() const {
     p.system = b->name().rfind("sys.", 0) == 0;
     net.places.push_back(std::move(p));
   };
-  // The baskets Ingest routes to for a stream (mirrors IngestBatch).
+  // The baskets Ingest routes to for a stream (mirrors IngestColumns).
   auto ingest_targets = [](const StreamInfo& s) {
     std::vector<std::string> out;
     if (s.chain_head != nullptr) {

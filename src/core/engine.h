@@ -231,21 +231,23 @@ class Engine {
   /// max_engine_state_bytes gate and Analyze() report.
   int64_t TotalStateBoundBytes(bool* any_unbounded = nullptr) const;
 
-  /// Appends one tuple (without ts) to stream `name`, replicating to
-  /// private baskets as the active strategy requires. The fast in-process
-  /// ingest path used by tests and benchmarks.
+  /// Row ingest: the rows (user columns, no ts) are validated and
+  /// transposed once into a ColumnBatch (ColumnBatch::AppendRows) and handed
+  /// to IngestColumns. All or nothing: one ill-typed row rejects the batch
+  /// before any basket sees it. The in-process path of tests, INSERT and
+  /// benchmarks.
   Status Ingest(const std::string& name, const Row& values);
   Status IngestBatch(const std::string& name, const std::vector<Row>& rows);
-  /// Zero-copy columnar ingest: `batch` holds the stream's user columns (no
-  /// ts) and its buffers are *swapped* into the target basket; the batch
-  /// comes back empty but keeps the basket's previous buffer capacity, ready
-  /// to refill. When the stream fans out to several baskets (private
-  /// replicas) the columns are copied instead. The receptor delivery path.
+  /// Columnar ingest, the path every ingest call ends in: stamps the batch
+  /// with the current time and routes it to "the proper baskets" (§2.1) of
+  /// the strategies in use. `batch` holds the stream's user columns (no ts)
+  /// and its buffers are *swapped* into the target basket; the batch comes
+  /// back empty but keeps the basket's previous buffer capacity, ready to
+  /// refill. When the stream fans out to several baskets (private replicas)
+  /// the columns are copied instead. The receptor delivery path.
   Status IngestColumns(const std::string& name, ColumnBatch&& batch);
-  /// Bulk columnar ingest: `batch` holds the stream's user columns (no ts);
-  /// all tuples are stamped with the current time. The fastest ingest path —
-  /// one column append per column, used by the benchmarks and high-rate
-  /// feeds.
+  /// Bulk columnar ingest from a table of the stream's user columns (no ts):
+  /// the columns are copied into a ColumnBatch for IngestColumns.
   Status IngestTable(const std::string& name, const Table& batch);
 
   /// Attaches a receptor thread-equivalent transition reading CSV tuples

@@ -85,9 +85,12 @@ class MergeEmitter final : public Transition {
 /// static tables are replicated (satisfying `broadcast_relations` verdicts).
 /// Stream ingest goes through the ShardRouter half of this class: each
 /// stream carries a sticky RouteKind resolved from its consumers' shard-key
-/// constraints — hash-split batches are gathered column-wise with the
-/// zero-copy Bat::AppendPositions path into per-shard scratch batches whose
-/// buffers recycle through the shard baskets' swap protocol.
+/// constraints. There is one split path, the columnar one: rows are first
+/// validated and transposed into a ColumnBatch (outside the router lock),
+/// then every batch is split column-wise with Bat::AppendPositions into
+/// per-shard scratch batches whose buffers recycle through the shard
+/// baskets' swap protocol. Hash routes hash the typed key column, so a key
+/// lands on the same shard whichever ingest call delivered it.
 ///
 /// Continuous queries place per their partition verdict:
 ///   - partitionable / needs-broadcast: the query runs on every shard and
@@ -135,11 +138,15 @@ class ShardedEngine {
   Status CreateStream(const std::string& name, const Schema& user_schema,
                       const std::string& partition_key = "");
 
-  /// Router ingest: splits/replicates per the stream's route. The columnar
-  /// path gathers with zero-copy AppendPositions into recycled scratch
-  /// batches; `batch` comes back empty with capacity retained.
+  /// Row ingest: validates and transposes the rows into one ColumnBatch
+  /// outside the router lock (all or nothing: an ill-typed row rejects the
+  /// whole batch before any shard sees a tuple), then routes it through
+  /// IngestColumns.
   Status Ingest(const std::string& name, const Row& values);
   Status IngestBatch(const std::string& name, const std::vector<Row>& rows);
+  /// Router ingest: splits/replicates per the stream's route, gathering
+  /// with AppendPositions into recycled scratch batches; `batch` comes back
+  /// empty with capacity retained.
   Status IngestColumns(const std::string& name, ColumnBatch&& batch);
 
   // --- execution control ----------------------------------------------------
@@ -252,8 +259,6 @@ class ShardedEngine {
 
   Status RegisterRoute(const std::string& name, const Schema& user_schema,
                        const std::string& partition_key);
-  Status RouteRows(RouteState& r, const std::string& name,
-                   const std::vector<Row>& rows);
 
   Result<TablePtr> ExecuteGatherSelect(const sql::SelectStmt& stmt);
   Status ExecuteInsertRouted(const std::string& sql,
@@ -274,9 +279,10 @@ class ShardedEngine {
 
   ShardedEngineOptions options_;
   /// Serialises the routing state (routes_, internal_, the per-stream
-  /// scratch) across concurrent producers and query registration. Shard
-  /// ingest happens under it too — per-shard parallelism comes from the
-  /// shard schedulers, not from racing producers through the router.
+  /// scratch) across concurrent producers and query registration. The
+  /// columnar split and shard ingest happen under it — per-shard
+  /// parallelism comes from the shard schedulers, not from racing producers
+  /// through the router; the row transpose does not.
   mutable std::mutex routes_mu_;
   std::vector<std::unique_ptr<Engine>> shards_;
   /// Frontend scheduler: runs only the merge emitters.

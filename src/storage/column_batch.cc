@@ -21,6 +21,12 @@ void ColumnBatch::TruncateTo(size_t num_rows) {
   for (Bat& col : columns_) col.Truncate(num_rows);
 }
 
+Status ColumnBatch::AppendRows(std::span<const Row> rows) {
+  for (const Row& row : rows) DC_RETURN_NOT_OK(schema_.CheckRow(row));
+  for (const Row& row : rows) AppendRowUnchecked(row);
+  return Status::OK();
+}
+
 void ColumnBatch::AppendRowUnchecked(const Row& row) {
   DC_DCHECK_EQ(row.size(), columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) {

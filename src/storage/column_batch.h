@@ -1,6 +1,7 @@
 #ifndef DATACELL_STORAGE_COLUMN_BATCH_H_
 #define DATACELL_STORAGE_COLUMN_BATCH_H_
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,9 +59,15 @@ class ColumnBatch {
   /// mid-tuple. Capacity is kept.
   void TruncateTo(size_t num_rows);
 
-  /// Row-oriented compatibility append (used by the AppendBatch shim and the
-  /// default generator transposition). The row must already be validated
-  /// against the schema.
+  /// Checked row append — the one place peripheral rows enter the columnar
+  /// ingest path (Engine/ShardedEngine row ingest and the Basket row
+  /// appends all transpose through here). Every row is validated first
+  /// (Schema::CheckRow), so a bad row anywhere leaves the batch unchanged;
+  /// then the rows are transposed into the typed columns, int64 values
+  /// widening to double columns as they are stored.
+  Status AppendRows(std::span<const Row> rows);
+  /// Transposing append for rows the caller has already validated against
+  /// the schema (CSV parsing and the generators build them typed).
   void AppendRowUnchecked(const Row& row);
 
   /// True when every column of `other_schema` matches this batch's column

@@ -22,6 +22,23 @@ std::string Schema::ToString() const {
   return out;
 }
 
+Status Schema::CheckRow(const Row& row) const {
+  if (row.size() != fields_.size()) {
+    return Status::InvalidArgument("tuple arity " + std::to_string(row.size()) +
+                                   " does not match schema arity " +
+                                   std::to_string(fields_.size()));
+  }
+  for (size_t c = 0; c < fields_.size(); ++c) {
+    // The boolean test keeps Status construction off the success path.
+    if (!ValueMatchesType(row[c], fields_[c].type)) {
+      Status detail = CheckValueType(row[c], fields_[c].type);
+      return Status::TypeError("column '" + fields_[c].name +
+                               "': " + detail.message());
+    }
+  }
+  return Status::OK();
+}
+
 int64_t Schema::EstimatedRowBytes(int64_t string_bytes) const {
   int64_t bytes = 0;
   for (const Field& f : fields_) {

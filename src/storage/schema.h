@@ -39,6 +39,12 @@ class Schema {
   /// "name type, name type, ..." rendering.
   std::string ToString() const;
 
+  /// The row validator: OK when `row` has this schema's arity and every
+  /// value is storable in its column (CheckValueType coercions: int64
+  /// widens to double and timestamp; nulls fit anywhere). Row appends to
+  /// column batches and tables both check through here.
+  Status CheckRow(const Row& row) const;
+
   /// Estimated in-memory bytes of one row of this schema: fixed-width types
   /// by their value size (bool 1, int64/double/timestamp 8), strings by the
   /// caller-supplied per-value estimate (Values carry std::string payloads

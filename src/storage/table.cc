@@ -30,22 +30,9 @@ Result<BatPtr> Table::ColumnByName(std::string_view column_name) const {
 }
 
 Status Table::AppendRow(const Row& row) {
-  if (row.size() != columns_.size()) {
-    return Status::InvalidArgument(
-        "tuple arity " + std::to_string(row.size()) + " does not match table '" +
-        name_ + "' arity " + std::to_string(columns_.size()));
-  }
-  // Validate all values before mutating any column so a bad tuple cannot
-  // leave the columns misaligned.
-  for (size_t i = 0; i < row.size(); ++i) {
-    Status st = CheckValueType(row[i], columns_[i]->type());
-    if (!st.ok()) {
-      return Status::TypeError("column '" + schema_.field(i).name +
-                               "': " + st.message());
-    }
-  }
-  // Types were validated above; the unchecked append skips a second round of
-  // per-value Status construction on the ingest path.
+  // Validate the whole tuple before mutating any column so a bad tuple
+  // cannot leave the columns misaligned.
+  DC_RETURN_NOT_OK(schema_.CheckRow(row));
   for (size_t i = 0; i < row.size(); ++i) {
     columns_[i]->AppendValueUnchecked(row[i]);
   }

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "adapters/sink.h"
+#include "common/hash.h"
 #include "core/engine.h"
 #include "core/shard.h"
 
@@ -237,6 +238,86 @@ TEST(ShardRouterTest, ColumnarIngestMatchesRowIngest) {
   };
 
   EXPECT_EQ(run(false), run(true));
+
+  // A double key arrives as an int64 literal through IngestBatch and INSERT
+  // and as the stored double through IngestColumns. Every path must hash
+  // the key as the column's double, so each group forms on one shard and
+  // the sharded GROUP BY equals the single engine's.
+  const std::string setup =
+      "create basket m (k double, v int) partition by k";
+  const std::string qsql =
+      "select k, count(*) as n, sum(v) as total from [select * from m] as s "
+      "group by k";
+  Schema mixed({{"k", DataType::kDouble}, {"v", DataType::kInt64}});
+  constexpr int kKeys = 8;
+  auto feed = [&](auto& engine) {
+    std::vector<Row> boxed;
+    ColumnBatch typed(mixed);
+    for (int k = 0; k < kKeys; ++k) {
+      boxed.push_back({Value::Int64(k), Value::Int64(1)});
+      typed.column(0).AppendDouble(k * 1.0);
+      typed.column(1).AppendInt64(10);
+    }
+    EXPECT_TRUE(engine.IngestBatch("m", boxed).ok());
+    EXPECT_TRUE(engine.IngestColumns("m", std::move(typed)).ok());
+    EXPECT_TRUE(engine.ExecuteSql("insert into m values (3, 100), (6, 100)")
+                    .ok());
+  };
+  auto subscribe = [&](auto& engine) {
+    EXPECT_TRUE(engine.ExecuteSql(setup).ok());
+    auto q = engine.SubmitContinuousQuery("per_key", qsql);
+    EXPECT_TRUE(q.ok()) << q.status().message();
+    auto sink = std::make_shared<CollectingSink>();
+    if (q.ok()) EXPECT_TRUE(engine.Subscribe(*q, sink).ok());
+    return sink;
+  };
+
+  Engine ref(Deterministic());
+  auto ref_sink = subscribe(ref);
+  feed(ref);
+  ref.Drain();
+  std::multiset<std::string> want = Multiset(ref_sink->TakeRows());
+  EXPECT_EQ(want.size(), static_cast<size_t>(kKeys));
+
+  ShardedEngineOptions so;
+  so.num_shards = 4;
+  so.engine = Deterministic();
+  ShardedEngine se(so);
+  auto sh_sink = subscribe(se);
+  feed(se);
+  se.Drain();
+  EXPECT_EQ(Multiset(sh_sink->TakeRows()), want);
+}
+
+TEST(ShardRouterTest, IllTypedRowRejectsTheWholeBatch) {
+  // Row ingest is all or nothing on the sharded engine as on one engine:
+  // a bad row sent to shard 1 must not let shard 0 keep the rows before it.
+  constexpr size_t kShards = 2;
+  std::vector<Row> rows;
+  for (int i = 0; i < 16; ++i) {
+    rows.push_back({Value::Int64(i), Value::Double(1.0)});
+  }
+  int64_t bad_key = 0;
+  while (HashInt64(bad_key) % kShards != 1) ++bad_key;
+  rows.push_back({Value::Int64(bad_key), Value::String("not a double")});
+
+  Engine ref(Deterministic());
+  ASSERT_TRUE(ref.ExecuteSql("create basket s (id int, v double)").ok());
+  EXPECT_TRUE(ref.IngestBatch("s", rows).IsTypeError());
+  EXPECT_EQ(ref.tuples_ingested(), 0);
+
+  ShardedEngineOptions so;
+  so.num_shards = kShards;
+  so.engine = Deterministic();
+  ShardedEngine se(so);
+  ASSERT_TRUE(
+      se.ExecuteSql("create basket s (id int, v double) partition by id")
+          .ok());
+  EXPECT_TRUE(se.IngestBatch("s", rows).IsTypeError());
+  for (size_t i = 0; i < se.num_shards(); ++i) {
+    EXPECT_EQ(se.shard(i).tuples_ingested(), 0) << "shard " << i;
+  }
+  EXPECT_EQ(se.routed_tuples(), 0);
 }
 
 TEST(ShardRouterTest, HashRouteSendsEqualKeysToOneShard) {

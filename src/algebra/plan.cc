@@ -181,6 +181,19 @@ Result<PlanPtr> MakeUnion(PlanPtr left, PlanPtr right) {
   return PlanPtr(n);
 }
 
+Result<PlanPtr> WithChild(const PlanNode& node, PlanPtr child) {
+  if (node.children_.size() != 1 || child == nullptr) {
+    return Status::InvalidArgument("WithChild needs a single-child node");
+  }
+  if (!(child->output_schema() == node.children_[0]->output_schema())) {
+    return Status::TypeError("WithChild: replacement child schema differs");
+  }
+  auto n = DC_NEW_PLAN_NODE();
+  *n = node;
+  n->children_ = {std::move(child)};
+  return PlanPtr(n);
+}
+
 std::vector<std::string> PlanNode::InputRelations() const {
   std::vector<std::string> out;
   if (kind_ == PlanKind::kScan) out.push_back(scan_relation_);

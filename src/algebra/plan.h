@@ -92,6 +92,12 @@ class PlanNode {
   friend Result<PlanPtr> MakeDistinct(PlanPtr child);
   friend Result<PlanPtr> MakeLimit(PlanPtr child, size_t offset, size_t limit);
   friend Result<PlanPtr> MakeUnion(PlanPtr left, PlanPtr right);
+/// A copy of the single-child node `node` reading `child` instead, whose
+/// output schema must equal that of `node`'s current child. Splitting a plan
+/// at a node rebuilds the chain above it this way, over a Scan of the part
+/// that runs elsewhere.
+Result<PlanPtr> WithChild(const PlanNode& node, PlanPtr child);
+  friend Result<PlanPtr> WithChild(const PlanNode& node, PlanPtr child);
 
   PlanKind kind_ = PlanKind::kScan;
   Schema output_schema_;
@@ -135,11 +141,14 @@ using PlanBindings = std::map<std::string, TablePtr>;
 /// Executes `plan` against `bindings`; returns a fresh result table. Pure:
 /// never mutates the inputs (consumption is the *factory's* job, per the
 /// paper's separation between plan execution and basket management).
-/// `ctx` carries the intra-operator parallelism knobs (see ExecContext);
-/// the default context runs everything scalar. Filter predicates of the
-/// form `column <cmp> literal` (and conjunctions of two such on one column)
-/// are lowered to the Select* kernels, which both skips the generic
-/// expression evaluator and picks up morsel parallelism.
+/// `ctx` carries the intra-operator parallelism knobs and the profiler (see
+/// ExecContext); the default context runs everything scalar, unprofiled.
+/// Each node runs as its own plain operator — fused kernel paths belong to
+/// the plan specializer (specialize.h), which continuous plans go through
+/// first. Filter predicates of the form `column <cmp> literal` (and
+/// conjunctions of two such on one column) are lowered to the Select*
+/// kernels, which both skips the generic expression evaluator and picks up
+/// morsel parallelism.
 Result<TablePtr> ExecutePlan(const PlanNode& plan, const PlanBindings& bindings,
                              const ExecContext& ctx);
 Result<TablePtr> ExecutePlan(const PlanNode& plan, const PlanBindings& bindings);

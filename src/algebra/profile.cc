@@ -54,8 +54,9 @@ void AddPlanSteps(const PlanNode& n, int depth, PipelineProfile* out) {
 
 }  // namespace
 
-void PipelineProfile::FromPlan(const PlanNode& root, PipelineProfile* out) {
-  AddPlanSteps(root, 0, out);
+void PipelineProfile::FromPlan(const PlanNode& root, PipelineProfile* out,
+                               int depth) {
+  AddPlanSteps(root, depth, out);
 }
 
 PipelineProfile::Snapshot PipelineProfile::Snap() const {

@@ -60,8 +60,9 @@ class PipelineProfile {
   void RecordFire(int64_t time_ns);
 
   /// Builds the interpreter profile: one step per plan node, preorder, with
-  /// node mappings for StepForNode.
-  static void FromPlan(const PlanNode& root, PipelineProfile* out);
+  /// node mappings for StepForNode. The root sits at tree depth `depth`.
+  static void FromPlan(const PlanNode& root, PipelineProfile* out,
+                       int depth);
 
   struct StepSnapshot {
     std::string label;

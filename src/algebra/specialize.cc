@@ -44,10 +44,12 @@ bool NumericColumn(DataType t) {
 // never produce a divergent pipeline.
 class PipelineBuilder {
  public:
-  PipelineBuilder(const std::string& stream, const PlanBindings& statics)
-      : stream_(stream), statics_(statics) {}
+  PipelineBuilder(const std::string& stream, const PlanBindings& statics,
+                  std::string* fallback_reason)
+      : stream_(stream), statics_(statics), fallback_reason_(fallback_reason) {}
 
-  SpecializeResult Build(const PlanNode& root);
+  /// Null on failure, with `*fallback_reason` saying why.
+  std::unique_ptr<SpecializedPipeline> Build(const PlanNode& root);
 
  private:
   using Pred = SpecializedPipeline::Pred;
@@ -58,18 +60,30 @@ class PipelineBuilder {
   // real compiled predicate.
   enum class Fold { kNone, kTrue, kFalse };
 
-  static SpecializeResult Fail(std::string reason) {
-    SpecializeResult r;
-    r.fallback_reason = std::move(reason);
-    return r;
+  std::unique_ptr<SpecializedPipeline> Fail(std::string reason) {
+    *fallback_reason_ = std::move(reason);
+    return nullptr;
   }
 
   bool CompilePred(const Expr& e, const Schema& s, Pred* out, Fold* fold);
+  /// CompilePred, or a kGeneric leaf over `e` where no rule applies.
+  void CompilePredOrGeneric(const ExprPtr& e, const Schema& s, Pred* out,
+                            Fold* fold);
   bool CompileProj(const Expr& e, DataType out_type, Proj* out);
 
   const std::string& stream_;
   const PlanBindings& statics_;
+  std::string* fallback_reason_;
 };
+
+void PipelineBuilder::CompilePredOrGeneric(const ExprPtr& e, const Schema& s,
+                                           Pred* out, Fold* fold) {
+  if (CompilePred(*e, s, out, fold)) return;
+  *out = Pred{};
+  out->kind = Pred::Kind::kGeneric;
+  out->expr = e;
+  *fold = Fold::kNone;
+}
 
 bool PipelineBuilder::CompilePred(const Expr& e, const Schema& s, Pred* out,
                                   Fold* fold) {
@@ -90,10 +104,8 @@ bool PipelineBuilder::CompilePred(const Expr& e, const Schema& s, Pred* out,
     if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
       Pred l, r;
       Fold fl, fr;
-      if (!CompilePred(*e.left(), s, &l, &fl) ||
-          !CompilePred(*e.right(), s, &r, &fr)) {
-        return false;
-      }
+      CompilePredOrGeneric(e.left(), s, &l, &fl);
+      CompilePredOrGeneric(e.right(), s, &r, &fr);
       // Under the evaluator's null-as-false semantics, a constant operand
       // folds exactly like two-valued logic: false AND x == false even when
       // x is null, true OR x == true likewise.
@@ -188,7 +200,7 @@ bool PipelineBuilder::CompilePred(const Expr& e, const Schema& s, Pred* out,
     if (op == UnaryOp::kNot) {
       Pred c;
       Fold fc;
-      if (!CompilePred(*e.operand(), s, &c, &fc)) return false;
+      CompilePredOrGeneric(e.operand(), s, &c, &fc);
       if (fc == Fold::kTrue) {
         *fold = Fold::kFalse;
         return true;
@@ -212,12 +224,6 @@ bool PipelineBuilder::CompilePred(const Expr& e, const Schema& s, Pred* out,
       return true;
     }
     return false;
-  }
-  if (e.kind() == ExprKind::kColumnRef && e.type() == DataType::kBool) {
-    if (e.column_index() >= s.num_fields()) return false;
-    out->kind = Pred::Kind::kBoolColumn;
-    out->column = e.column_index();
-    return true;
   }
   return false;
 }
@@ -265,7 +271,8 @@ bool PipelineBuilder::CompileProj(const Expr& e, DataType out_type,
   return true;
 }
 
-SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
+std::unique_ptr<SpecializedPipeline> PipelineBuilder::Build(
+    const PlanNode& root) {
   auto pipe = std::make_unique<SpecializedPipeline>();
   const PlanNode* n = &root;
   const PlanNode* aggnode = nullptr;
@@ -286,9 +293,9 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
     aggnode = n;
     n = n->child().get();
     if (n->kind() == PlanKind::kProject) {
-      // Mirror the interpreter's fusion rule: aggregate inputs must be
-      // plain column refs through the pre-projection so they can be read
-      // straight from the projection's input.
+      // Aggregate inputs must be plain column refs through the
+      // pre-projection so they can be read straight from the projection's
+      // input.
       for (const AggSpec& a : aggnode->aggregates()) {
         if (!a.count_star && n->projections()[a.input_column]->kind() !=
                                  ExprKind::kColumnRef) {
@@ -364,9 +371,7 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
     const Expr& pe = *(*fit)->predicate();
     Pred p;
     Fold fold = Fold::kNone;
-    if (!CompilePred(pe, source, &p, &fold)) {
-      return Fail("predicate not specializable: " + pe.ToString());
-    }
+    CompilePredOrGeneric((*fit)->predicate(), source, &p, &fold);
     if (fold == Fold::kTrue) {
       filter_desc.push_back(pe.ToString() + "  [constant true: eliminated]");
       continue;
@@ -503,17 +508,7 @@ SpecializeResult PipelineBuilder::Build(const PlanNode& root) {
     d += "  " + std::to_string(step++) + ". project result: " + cols + "\n";
   }
   pipe->description_ = std::move(d);
-
-  SpecializeResult res;
-  res.pipeline = std::move(pipe);
-  return res;
-}
-
-SpecializeResult SpecializePlan(const PlanNode& plan,
-                                const std::string& stream_relation,
-                                const PlanBindings& static_bindings) {
-  PipelineBuilder b(stream_relation, static_bindings);
-  return b.Build(plan);
+  return pipe;
 }
 
 // --- Runtime ------------------------------------------------------------
@@ -526,26 +521,29 @@ size_t SpecializedPipeline::JoinStateBytes(int64_t string_bytes) const {
          join_->index.memory_bytes();
 }
 
-void SpecializedPipeline::RegisterProfileSteps(PipelineProfile* profile) {
-  if (join_) join_step_ = profile->AddStep("hash-join probe", 0);
-  if (filter_ || always_false_) filter_step_ = profile->AddStep("filter", 0);
-  if (project_) project_step_ = profile->AddStep("project", 0);
-  if (aggregates_) agg_step_ = profile->AddStep("aggregate", 0);
-  if (post_project_) post_step_ = profile->AddStep("post-project", 0);
+void SpecializedPipeline::RegisterProfileSteps(PipelineProfile* profile,
+                                               int depth) {
+  if (join_) join_step_ = profile->AddStep("hash-join probe", depth);
+  if (filter_ || always_false_) {
+    filter_step_ = profile->AddStep("filter", depth);
+  }
+  if (project_) project_step_ = profile->AddStep("project", depth);
+  if (aggregates_) agg_step_ = profile->AddStep("aggregate", depth);
+  if (post_project_) post_step_ = profile->AddStep("post-project", depth);
   if (!project_ && !aggregates_) {
-    project_step_ = profile->AddStep("materialize", 0);
+    project_step_ = profile->AddStep("materialize", depth);
   }
 }
 
-void SpecializedPipeline::EvalPred(const Pred& p, const Table& in,
-                                   const ExecContext& ctx,
-                                   std::vector<size_t>* out) const {
+Status SpecializedPipeline::EvalPred(const Pred& p, const Table& in,
+                                     const ExecContext& ctx,
+                                     std::vector<size_t>* out) const {
   size_t n = in.num_rows();
   out->clear();
   switch (p.kind) {
     case Pred::Kind::kLowered: {
       const LoweredSelect& l = p.lowered;
-      if (l.empty) return;
+      if (l.empty) return Status::OK();
       const Bat& col = *in.column(l.column);
       // Null-free numeric selects skip the generic wrapper's allocation and
       // dispatch; parallel-sized inputs keep the morsel path.
@@ -560,10 +558,10 @@ void SpecializedPipeline::EvalPred(const Pred& p, const Table& in,
                                        IHi(l), 0, n, out->data());
         }
         out->resize(k);
-        return;
+        return Status::OK();
       }
       *out = RunLoweredSelect(l, in, ctx);
-      return;
+      return Status::OK();
     }
     case Pred::Kind::kNotEqual: {
       std::vector<size_t> eq = RunLoweredSelect(p.lowered, in, ctx);
@@ -571,7 +569,7 @@ void SpecializedPipeline::EvalPred(const Pred& p, const Table& in,
       const Bat& col = *in.column(p.lowered.column);
       if (!col.has_nulls()) {
         *out = std::move(comp);
-        return;
+        return Status::OK();
       }
       // null <> v is false, but nulls are absent from the eq positions and
       // would otherwise survive the complement.
@@ -579,34 +577,27 @@ void SpecializedPipeline::EvalPred(const Pred& p, const Table& in,
       for (size_t pos : comp) {
         if (!col.IsNull(pos)) out->push_back(pos);
       }
-      return;
-    }
-    case Pred::Kind::kBoolColumn: {
-      const Bat& col = *in.column(p.column);
-      for (size_t i = 0; i < n; ++i) {
-        if (!col.IsNull(i) && col.BoolAt(i)) out->push_back(i);
-      }
-      return;
+      return Status::OK();
     }
     case Pred::Kind::kIsNull: {
       const Bat& col = *in.column(p.column);
-      if (!col.has_nulls()) return;
+      if (!col.has_nulls()) return Status::OK();
       for (size_t i = 0; i < n; ++i) {
         if (col.IsNull(i)) out->push_back(i);
       }
-      return;
+      return Status::OK();
     }
     case Pred::Kind::kIsNotNull: {
       const Bat& col = *in.column(p.column);
       if (!col.has_nulls()) {
         out->resize(n);
         std::iota(out->begin(), out->end(), size_t{0});
-        return;
+        return Status::OK();
       }
       for (size_t i = 0; i < n; ++i) {
         if (!col.IsNull(i)) out->push_back(i);
       }
-      return;
+      return Status::OK();
     }
     case Pred::Kind::kLike: {
       const Bat& col = *in.column(p.column);
@@ -615,26 +606,31 @@ void SpecializedPipeline::EvalPred(const Pred& p, const Table& in,
           out->push_back(i);
         }
       }
-      return;
+      return Status::OK();
     }
     case Pred::Kind::kNot: {
       // NOT over null-as-false evaluates true at nulls, so the plain
       // complement (which keeps null positions) is exactly right.
       std::vector<size_t> c;
-      EvalPred(p.children[0], in, ctx, &c);
+      DC_RETURN_NOT_OK(EvalPred(p.children[0], in, ctx, &c));
       *out = ComplementPositions(c, n);
-      return;
+      return Status::OK();
     }
     case Pred::Kind::kAnd:
     case Pred::Kind::kOr: {
       std::vector<size_t> a, b;
-      EvalPred(p.children[0], in, ctx, &a);
-      EvalPred(p.children[1], in, ctx, &b);
+      DC_RETURN_NOT_OK(EvalPred(p.children[0], in, ctx, &a));
+      DC_RETURN_NOT_OK(EvalPred(p.children[1], in, ctx, &b));
       *out = p.kind == Pred::Kind::kAnd ? IntersectPositions(a, b)
                                         : UnionPositions(a, b);
-      return;
+      return Status::OK();
+    }
+    case Pred::Kind::kGeneric: {
+      DC_ASSIGN_OR_RETURN(*out, EvaluatePredicate(*p.expr, in));
+      return Status::OK();
     }
   }
+  return Status::OK();
 }
 
 Status SpecializedPipeline::RunProjection(const Proj& p, const Table& in,
@@ -763,14 +759,13 @@ Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
     }
   }
   bool have_positions = false;
-  auto positions = [&]() {
-    if (!have_positions) {
-      int64_t ft0 = prof != nullptr ? ProfileNowNs() : 0;
-      EvalPred(*f, in, ctx, &sel_);
-      if (prof != nullptr) filter_ns = ProfileNowNs() - ft0;
-      have_positions = true;
-    }
-    return &sel_;
+  auto ensure_positions = [&]() -> Status {
+    if (have_positions) return Status::OK();
+    int64_t ft0 = prof != nullptr ? ProfileNowNs() : 0;
+    DC_RETURN_NOT_OK(EvalPred(*f, in, ctx, &sel_));
+    if (prof != nullptr) filter_ns = ProfileNowNs() - ft0;
+    have_positions = true;
+    return Status::OK();
   };
   // The fused kernel needs raw null-free numeric buffers on both the filter
   // and the value column.
@@ -824,20 +819,20 @@ Result<TablePtr> SpecializedPipeline::RunAggregate(const Table& in,
       p.min = r.min;
       p.max = r.max;
     } else {
+      DC_RETURN_NOT_OK(ensure_positions());
       if (g.count_star) {
-        p.count = static_cast<int64_t>(positions()->size());
+        p.count = static_cast<int64_t>(sel_.size());
       } else {
-        DC_ASSIGN_OR_RETURN(p,
-                            AggregateAll(*in.column(g.column), positions(),
-                                         ctx));
+        DC_ASSIGN_OR_RETURN(p, AggregateAll(*in.column(g.column), &sel_, ctx));
       }
     }
     row.push_back(p.Finalize(g.func));
   }
   if (prof != nullptr) {
     // Fused filter+aggregate firings never materialize a selection; their
-    // whole span lands on the aggregate step, mirroring RunStages' fused
-    // attribution. Explicit EvalPred time goes to the filter step.
+    // whole span lands on the aggregate step, where the fused kernel runs
+    // (see RegisterProfileSteps). Explicit EvalPred time goes to the filter
+    // step.
     if (have_positions) {
       prof->RecordStep(filter_step_, static_cast<int64_t>(n),
                        static_cast<int64_t>(sel_.size()), filter_ns);
@@ -954,7 +949,7 @@ Result<TablePtr> SpecializedPipeline::RunStages(const Table& in,
     }
   }
   int64_t ft0 = prof != nullptr ? ProfileNowNs() : 0;
-  EvalPred(f, in, ctx, &sel_);
+  DC_RETURN_NOT_OK(EvalPred(f, in, ctx, &sel_));
   if (prof != nullptr) {
     prof->RecordStep(filter_step_, static_cast<int64_t>(n),
                      static_cast<int64_t>(sel_.size()), ProfileNowNs() - ft0);
@@ -1032,6 +1027,53 @@ Result<TablePtr> SpecializedPipeline::Run(const Table& input,
 TablePtr SpecializedPipeline::AcquireOutput(BatchPool* pool) const {
   return pool != nullptr ? pool->AcquireTable("", output_schema_)
                          : std::make_shared<Table>("", output_schema_);
+}
+
+// --- PlanRunner -----------------------------------------------------------
+
+PlanRunner::PlanRunner(PlanPtr plan, std::vector<std::string> streams,
+                       PlanBindings static_bindings, bool specialize)
+    : plan_(std::move(plan)),
+      streams_(std::move(streams)),
+      static_bindings_(std::move(static_bindings)) {
+  if (!specialize) {
+    fallback_reason_ = "specialization disabled";
+  } else if (streams_.size() != 1) {
+    fallback_reason_ = "multiple stream inputs";
+  } else {
+    pipeline_ = PipelineBuilder(streams_[0], static_bindings_, &fallback_reason_)
+                    .Build(*plan_);
+  }
+}
+
+Result<TablePtr> PlanRunner::Run(std::span<const TablePtr> inputs,
+                                 const ExecContext& ctx, BatchPool* pool) {
+  DC_CHECK_EQ(inputs.size(), streams_.size());
+  // Specialized: no binding-map copy, no plan-tree walk — the pre-compiled
+  // chain runs straight over the slice.
+  if (pipeline_ != nullptr) return pipeline_->Run(*inputs[0], ctx, pool);
+  PlanBindings bindings = static_bindings_;
+  for (size_t i = 0; i < streams_.size(); ++i) {
+    bindings[streams_[i]] = inputs[i];
+  }
+  return ExecutePlan(*plan_, bindings, ctx);
+}
+
+std::string PlanRunner::Describe() const {
+  if (pipeline_ != nullptr) return pipeline_->Describe();
+  return "interpreter (fallback: " + fallback_reason_ + ")";
+}
+
+void PlanRunner::RegisterProfileSteps(PipelineProfile* profile, int depth) {
+  if (pipeline_ != nullptr) {
+    pipeline_->RegisterProfileSteps(profile, depth);
+  } else {
+    PipelineProfile::FromPlan(*plan_, profile, depth);
+  }
+}
+
+size_t PlanRunner::JoinStateBytes(int64_t string_bytes) const {
+  return pipeline_ != nullptr ? pipeline_->JoinStateBytes(string_bytes) : 0;
 }
 
 }  // namespace datacell

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,7 @@ class BatchPool;
 /// per-firing work of the tree interpreter — walking PlanNode children,
 /// re-matching predicates against the lowering rules, type-switching inside
 /// every operator, copying the binding map — is pure overhead on the hot
-/// path. SpecializePlan() does all of that once at SubmitContinuousQuery
+/// path. PlanRunner does all of that once at SubmitContinuousQuery
 /// time and emits a SpecializedPipeline: a flat chain of pre-bound,
 /// type-resolved steps the factory drives directly with each drained batch.
 ///
@@ -33,18 +34,22 @@ class BatchPool;
 ///
 /// plus these per-stage forms:
 ///   - filters: kernel-lowerable comparisons (lowering.h), <>, LIKE,
-///     IS [NOT] NULL, bool columns, and AND/OR/NOT combinations thereof;
-///     constant predicates are folded away (always-true) or pinned to an
-///     empty selection (always-false — the analyzer warns separately);
+///     IS [NOT] NULL, and AND/OR/NOT combinations thereof; any other
+///     predicate term (bool columns, computed operands, column-column
+///     comparisons, ...) is a generic leaf the expression evaluator turns
+///     into a selection vector, so every filter compiles; constant
+///     predicates are folded away (always-true) or pinned to an empty
+///     selection (always-false — the analyzer warns separately);
 ///   - projections: column references and column-op-literal arithmetic;
 ///   - aggregates: count(*)/count/sum/min/max/avg without GROUP BY;
 ///   - join: stream on the probe side, integer-backed keys; the hash index
 ///     over the static side is built once and probed per firing.
 ///
-/// Anything else (windows, group-by, sort/distinct/limit/union, computed
-/// predicates the rules above can't express, ...) falls back to the
-/// interpreter with a human-readable reason, surfaced per query via the
-/// shell's \explain and counted by the engine's metrics. Results are
+/// Window sub-plans (core/window.h) compile the same way. Anything else
+/// (group-by, stream-stream joins, sort/distinct/limit/union, computed
+/// projections, ...) falls back to the interpreter with a human-readable
+/// reason, surfaced per query via the shell's \explain and counted by the
+/// engine's metrics. Results are
 /// identical to the interpreter's, with one documented exception: fused
 /// filter+aggregate sums associate in four lanes, so floating-point sums
 /// over values not exactly representable in double can differ in the last
@@ -67,13 +72,13 @@ class SpecializedPipeline {
   /// owns; 0 for join-free pipelines.
   size_t JoinStateBytes(int64_t string_bytes) const;
 
-  /// Registers this pipeline's stages as profile steps (one per present
-  /// stage, in execution order) and remembers their indices; Run() then
+  /// Registers this pipeline's stages as profile steps at tree depth
+  /// `depth` (one per present stage, in execution order); Run() then
   /// accumulates per-stage rows and time whenever the ExecContext carries
-  /// that profile. Fused firings attribute their whole span to the filter
-  /// step — that is where the fused kernel does its work — so stage times
-  /// always sum to the measured work. Call once, at factory creation.
-  void RegisterProfileSteps(PipelineProfile* profile);
+  /// that profile. A fused kernel pass records its whole span on one step —
+  /// fused filter→project on the filter step, fused filter→aggregate on the
+  /// aggregate step — so stage times sum to the measured work.
+  void RegisterProfileSteps(PipelineProfile* profile, int depth);
 
  private:
   friend class PipelineBuilder;
@@ -85,18 +90,19 @@ class SpecializedPipeline {
     enum class Kind {
       kLowered,    // range / string-eq via the shared lowering rules
       kNotEqual,   // <> over a lowerable equality: complement minus nulls
-      kBoolColumn, // a bool column used directly as the predicate
       kIsNull,
       kIsNotNull,
       kLike,       // string column LIKE literal pattern
       kNot,        // plain complement (null operand evaluates true)
       kAnd,
       kOr,
+      kGeneric,    // any other term: EvaluatePredicate over `expr`
     };
     Kind kind = Kind::kLowered;
     LoweredSelect lowered;    // kLowered / kNotEqual
-    size_t column = 0;        // kBoolColumn / kIsNull / kIsNotNull / kLike
+    size_t column = 0;        // kIsNull / kIsNotNull / kLike
     std::string pattern;      // kLike
+    ExprPtr expr;             // kGeneric
     std::vector<Pred> children;
   };
 
@@ -132,8 +138,8 @@ class SpecializedPipeline {
     size_t built_rows = static_cast<size_t>(-1);
   };
 
-  void EvalPred(const Pred& p, const Table& in, const ExecContext& ctx,
-                std::vector<size_t>* out) const;
+  Status EvalPred(const Pred& p, const Table& in, const ExecContext& ctx,
+                  std::vector<size_t>* out) const;
   Result<TablePtr> RunStages(const Table& in, const ExecContext& ctx,
                              BatchPool* pool);
   Result<TablePtr> RunAggregate(const Table& in, const ExecContext& ctx,
@@ -167,19 +173,40 @@ class SpecializedPipeline {
   std::vector<size_t> sel_, probe_pos_, build_pos_;
 };
 
-/// Outcome of a specialization attempt: exactly one of `pipeline` (success)
-/// or `fallback_reason` (the interpreter stays in charge) is set.
-struct SpecializeResult {
-  std::unique_ptr<SpecializedPipeline> pipeline;
-  std::string fallback_reason;
-};
+/// A plan compiled once at registration and run per firing over fresh stream
+/// slices: the specialized pipeline when the plan compiles, else the
+/// interpreter over the static bindings plus the slices. Factories and
+/// window executors drive every continuous plan through this one class.
+class PlanRunner {
+ public:
+  /// Run()'s inputs align with the `streams` bind names; `static_bindings`
+  /// resolves catalog-table scans. The plan is specialized when `specialize`
+  /// is set and there is exactly one stream.
+  PlanRunner(PlanPtr plan, std::vector<std::string> streams,
+             PlanBindings static_bindings, bool specialize);
 
-/// Compiles `plan` into a specialized pipeline. `stream_relation` names the
-/// (single) streaming input's bind name; `static_bindings` resolves scans of
-/// catalog tables (the build side of stream–table joins).
-SpecializeResult SpecializePlan(const PlanNode& plan,
-                                const std::string& stream_relation,
-                                const PlanBindings& static_bindings);
+  /// Runs the plan over one slice per stream; `pool` (may be null) supplies
+  /// result buffers. Not thread-safe: callers serialise runs.
+  Result<TablePtr> Run(std::span<const TablePtr> inputs,
+                       const ExecContext& ctx, BatchPool* pool);
+
+  bool specialized() const { return pipeline_ != nullptr; }
+  /// Why specialization was not applied (empty when it was).
+  const std::string& fallback_reason() const { return fallback_reason_; }
+  /// \explain: the specialized step list, or interpreter + fallback reason.
+  std::string Describe() const;
+  /// Pipeline stages, or one step per plan node, at tree depth `depth`.
+  void RegisterProfileSteps(PipelineProfile* profile, int depth);
+  /// SpecializedPipeline::JoinStateBytes; 0 on the interpreter.
+  size_t JoinStateBytes(int64_t string_bytes) const;
+
+ private:
+  PlanPtr plan_;
+  std::vector<std::string> streams_;
+  PlanBindings static_bindings_;
+  std::unique_ptr<SpecializedPipeline> pipeline_;
+  std::string fallback_reason_;
+};
 
 }  // namespace datacell
 

@@ -23,12 +23,10 @@ const char* ProcessingStrategyToString(ProcessingStrategy s) {
 }
 
 Factory::Factory(std::string name, sql::CompiledQuery query, BasketPtr output,
-                 PlanBindings static_bindings, const Clock* clock,
-                 FactoryOptions options)
+                 const Clock* clock, FactoryOptions options)
     : Transition(std::move(name), TransitionKind::kFactory, options.priority),
       query_(std::move(query)),
       output_(std::move(output)),
-      static_bindings_(std::move(static_bindings)),
       clock_(clock),
       options_(options) {}
 
@@ -89,8 +87,8 @@ Result<std::shared_ptr<Factory>> Factory::Create(
   }
   bool windowed = query.window.kind != sql::WindowSpec::Kind::kNone;
   auto factory = std::shared_ptr<Factory>(
-      new Factory(std::move(name), std::move(query), std::move(output),
-                  std::move(static_bindings), clock, options));
+      new Factory(std::move(name), std::move(query), std::move(output), clock,
+                  options));
   factory->min_tuples_ = static_cast<size_t>(
       std::max<int64_t>(1, factory->query_.threshold.value_or(1)));
   for (size_t i = 0; i < input_baskets.size(); ++i) {
@@ -109,36 +107,28 @@ Result<std::shared_ptr<Factory>> Factory::Create(
     }
     factory->inputs_.push_back(std::move(in));
   }
+  // Registration-time specialization: the plan (or a window's sub-plans) is
+  // fixed for the query's lifetime, so the PlanRunner compiles it into a
+  // fused pipeline once instead of paying the interpreter's tree walk on
+  // every firing. The profile skeleton (one step per specialized stage or
+  // interpreted plan node) is built here too, while the plan shape is final,
+  // so toggling profiling later is a single flag flip.
+  factory->profile_ = std::make_unique<PipelineProfile>();
   if (windowed) {
     DC_ASSIGN_OR_RETURN(
         factory->window_,
         WindowExecutor::Create(factory->query_, options.window_mode,
-                               factory->static_bindings_));
-  }
-  // Registration-time specialization: the plan is fixed for the query's
-  // lifetime, so compile it into a fused pipeline once instead of paying the
-  // interpreter's tree walk on every firing.
-  if (!options.specialize) {
-    factory->specialize_fallback_ = "specialization disabled";
-  } else if (windowed) {
-    factory->specialize_fallback_ = "windowed query";
-  } else if (factory->inputs_.size() != 1) {
-    factory->specialize_fallback_ = "multiple stream inputs";
+                               std::move(static_bindings), options.specialize));
+    factory->window_->RegisterProfileSteps(factory->profile_.get());
   } else {
-    SpecializeResult sr =
-        SpecializePlan(*factory->query_.plan, factory->inputs_[0].spec->bind_name,
-                       factory->static_bindings_);
-    factory->specialized_ = std::move(sr.pipeline);
-    factory->specialize_fallback_ = std::move(sr.fallback_reason);
-  }
-  // Profile skeleton: one step per specialized stage, or one per plan node
-  // for interpreter (and windowed) queries. Built here, while the plan shape
-  // is already final, so toggling profiling later is a single flag flip.
-  factory->profile_ = std::make_unique<PipelineProfile>();
-  if (factory->specialized_ != nullptr) {
-    factory->specialized_->RegisterProfileSteps(factory->profile_.get());
-  } else {
-    PipelineProfile::FromPlan(*factory->query_.plan, factory->profile_.get());
+    std::vector<std::string> streams;
+    for (const sql::ContinuousInput& in : factory->query_.inputs) {
+      streams.push_back(in.bind_name);
+    }
+    factory->runner_ = std::make_unique<PlanRunner>(
+        factory->query_.plan, std::move(streams), std::move(static_bindings),
+        options.specialize);
+    factory->runner_->RegisterProfileSteps(factory->profile_.get(), 0);
   }
   // Seed the state accounting: a specialized join's build index exists from
   // registration, before any tuple flows.
@@ -153,9 +143,7 @@ void Factory::UpdateStateAccounting() {
         options_.state_string_bytes);
     bytes += window_->buffered() * static_cast<size_t>(row_bytes);
   }
-  if (specialized_ != nullptr) {
-    bytes += specialized_->JoinStateBytes(options_.state_string_bytes);
-  }
+  bytes += runner().JoinStateBytes(options_.state_string_bytes);
   state_bytes_.store(bytes, std::memory_order_relaxed);
   size_t hw = state_high_water_.load(std::memory_order_relaxed);
   if (bytes > hw) {
@@ -164,18 +152,16 @@ void Factory::UpdateStateAccounting() {
 }
 
 std::string Factory::PipelineDescription() const {
-  if (specialized_ != nullptr) return specialized_->Describe();
-  return "interpreter (fallback: " + specialize_fallback_ + ")";
+  return window_ != nullptr ? window_->Describe() : runner_->Describe();
 }
 
 std::string Factory::ProfileReport() const {
-  std::string out = "pipeline: " + PipelineDescription();
+  std::string out = "pipeline";
   if (window_ != nullptr) {
-    // Window executors run the interpreter internally per (sub-)window; the
-    // plan-node steps below cover those runs.
     out += " [windowed: " + std::string(window_->mode_name()) + "]";
   }
-  out += "\n";
+  out += ": " + PipelineDescription();
+  if (out.back() != '\n') out += "\n";
   out += profile_->Render();
   return out;
 }
@@ -294,35 +280,14 @@ Result<int64_t> Factory::Fire() {
     slices.push_back(std::move(slice));
   }
   // ... run the compiled plan as one bulk operation ...
-  TablePtr result;
-  if (window_ != nullptr) {
-    Result<TablePtr> r = window_->Advance(*slices[0]);
-    if (!r.ok()) {
-      plan_errors_.fetch_add(1, std::memory_order_relaxed);
-      return r.status();
-    }
-    result = *r;
-  } else if (specialized_ != nullptr) {
-    // Specialized fast path: no binding-map copy, no plan-tree walk — the
-    // pre-compiled chain runs straight over the drained slice.
-    Result<TablePtr> r = specialized_->Run(*slices[0], exec, pool_);
-    if (!r.ok()) {
-      plan_errors_.fetch_add(1, std::memory_order_relaxed);
-      return r.status();
-    }
-    result = *r;
-  } else {
-    PlanBindings bindings = static_bindings_;
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      bindings[inputs_[i].spec->bind_name] = slices[i];
-    }
-    Result<TablePtr> r = ExecutePlan(*query_.plan, bindings, exec);
-    if (!r.ok()) {
-      plan_errors_.fetch_add(1, std::memory_order_relaxed);
-      return r.status();
-    }
-    result = *r;
+  Result<TablePtr> r = window_ != nullptr
+                           ? window_->Advance(*slices[0], exec)
+                           : runner_->Run(slices, exec, pool_);
+  if (!r.ok()) {
+    plan_errors_.fetch_add(1, std::memory_order_relaxed);
+    return r.status();
   }
+  TablePtr result = std::move(*r);
   // ... and append the qualifying tuples to the output basket. A uniquely
   // held result (the common case: the plan built fresh columns) is moved in
   // — its buffers swap into the output basket instead of being copied. A

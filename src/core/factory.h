@@ -58,10 +58,11 @@ struct FactoryOptions {
   /// `exec.pool` is set, large input slices are processed by the parallel
   /// kernel variants; small slices stay on the scalar path.
   ExecContext exec;
-  /// Attempt registration-time plan specialization (algebra/specialize.h).
-  /// When the plan compiles, Fire() drives the fused pipeline instead of the
-  /// tree interpreter; otherwise the interpreter runs and the fallback
-  /// reason is kept for \explain. Disable to force the interpreter.
+  /// Attempt registration-time plan specialization (algebra/specialize.h) of
+  /// the plan, or of a windowed query's sub-plans. When the plan compiles,
+  /// Fire() drives the fused pipeline instead of the tree interpreter;
+  /// otherwise the interpreter runs and the fallback reason is kept for
+  /// \explain. Disable to force the interpreter.
   bool specialize = true;
   /// Per-string byte estimate the state accounting (and the pass-4 gate
   /// below) prices string columns at; must match the analyzer's figure for
@@ -157,14 +158,19 @@ class Factory final : public Transition {
   }
   /// The MAL rendering of the wrapped plan (explain output).
   std::string ExplainPlan() const;
+  /// The runner every input tuple passes through: the factory's plan, or a
+  /// windowed query's per-tuple sub-plan (WindowExecutor::runner()).
+  const PlanRunner& runner() const {
+    return window_ != nullptr ? window_->runner() : *runner_;
+  }
   /// True when Fire() drives a registration-time specialized pipeline.
-  bool is_specialized() const { return specialized_ != nullptr; }
+  bool is_specialized() const { return runner().specialized(); }
   /// Why specialization was not applied (empty when it was).
   const std::string& specialize_fallback() const {
-    return specialize_fallback_;
+    return runner().fallback_reason();
   }
   /// The execution pipeline \explain prints: the specialized step list, or
-  /// the interpreter with its fallback reason.
+  /// the interpreter with its fallback reason (per sub-plan for windows).
   std::string PipelineDescription() const;
 
   /// Toggles per-step profiling for this factory's firings. The profile's
@@ -212,8 +218,7 @@ class Factory final : public Transition {
   };
 
   Factory(std::string name, sql::CompiledQuery query, BasketPtr output,
-          PlanBindings static_bindings, const Clock* clock,
-          FactoryOptions options);
+          const Clock* clock, FactoryOptions options);
 
   /// Recomputes state_bytes() / the high-water mark. Called from Fire()
   /// (single-writer) and once at creation for the registration-built join
@@ -228,16 +233,14 @@ class Factory final : public Transition {
   sql::CompiledQuery query_;
   std::vector<InputBinding> inputs_;
   BasketPtr output_;
-  PlanBindings static_bindings_;
   const Clock* clock_;
   FactoryOptions options_;
   BatchPool* pool_ = nullptr;  // bound at wiring time; may stay null
   size_t min_tuples_ = 1;
-  std::unique_ptr<WindowExecutor> window_;  // null for unwindowed queries
-  // Registration-time compiled pipeline; null means the interpreter runs
-  // and specialize_fallback_ says why.
-  std::unique_ptr<SpecializedPipeline> specialized_;
-  std::string specialize_fallback_;
+  // Exactly one is set: the window executor (which owns the sub-plans'
+  // runners) for windowed queries, else the plan's runner.
+  std::unique_ptr<WindowExecutor> window_;
+  std::unique_ptr<PlanRunner> runner_;
   // Built once at Create (steps for the specialized stages or the plan
   // nodes); recording is gated by profiling_ per firing.
   std::unique_ptr<PipelineProfile> profile_;

@@ -1,6 +1,7 @@
 #include "core/window.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/check.h"
 
@@ -49,38 +50,7 @@ Result<AggregateDecomposition> DecomposeAggregatePlan(const PlanPtr& root) {
   DC_ASSIGN_OR_RETURN(PlanPtr rebuilt,
                       MakeScan(kAggOutBinding, out.aggregate_schema));
   for (auto it = above.rbegin(); it != above.rend(); ++it) {
-    const PlanNode* n = *it;
-    switch (n->kind()) {
-      case PlanKind::kProject: {
-        std::vector<std::string> names;
-        names.reserve(n->output_schema().num_fields());
-        for (const Field& f : n->output_schema().fields()) {
-          names.push_back(f.name);
-        }
-        DC_ASSIGN_OR_RETURN(rebuilt,
-                            MakeProject(rebuilt, n->projections(), names));
-        break;
-      }
-      case PlanKind::kFilter: {
-        DC_ASSIGN_OR_RETURN(rebuilt, MakeFilter(rebuilt, n->predicate()));
-        break;
-      }
-      case PlanKind::kSort: {
-        DC_ASSIGN_OR_RETURN(rebuilt, MakeSort(rebuilt, n->sort_keys()));
-        break;
-      }
-      case PlanKind::kLimit: {
-        DC_ASSIGN_OR_RETURN(rebuilt,
-                            MakeLimit(rebuilt, n->offset(), n->limit()));
-        break;
-      }
-      case PlanKind::kDistinct: {
-        DC_ASSIGN_OR_RETURN(rebuilt, MakeDistinct(rebuilt));
-        break;
-      }
-      default:
-        return Status::Internal("unexpected node in above-aggregate chain");
-    }
+    DC_ASSIGN_OR_RETURN(rebuilt, WithChild(**it, rebuilt));
   }
   out.above_aggregate = std::move(rebuilt);
   return out;
@@ -98,47 +68,55 @@ using internal_window::kAggOutBinding;
 class ReEvalWindowExecutor final : public WindowExecutor {
  public:
   ReEvalWindowExecutor(const sql::CompiledQuery& query,
-                       PlanBindings static_bindings)
-      : plan_(query.plan),
-        bind_name_(query.inputs[0].bind_name),
+                       PlanBindings static_bindings, bool specialize)
+      : runner_(query.plan, {query.inputs[0].bind_name},
+                std::move(static_bindings), specialize),
         window_(query.window),
         output_schema_(query.output_schema),
-        static_bindings_(std::move(static_bindings)),
         buffer_(std::make_shared<Table>("__window_buffer",
                                         query.inputs[0].basket_schema)) {
     ts_column_ = buffer_->num_columns() - 1;
   }
 
-  Result<TablePtr> Advance(const Table& new_tuples) override {
+  Result<TablePtr> Advance(const Table& new_tuples,
+                           const ExecContext& ctx) override {
     DC_RETURN_NOT_OK(buffer_->AppendTable(new_tuples));
     auto out = std::make_shared<Table>("", output_schema_);
     if (window_.kind == sql::WindowSpec::Kind::kCount) {
-      DC_RETURN_NOT_OK(AdvanceCount(out.get()));
+      DC_RETURN_NOT_OK(AdvanceCount(ctx, out.get()));
     } else {
-      DC_RETURN_NOT_OK(AdvanceTime(out.get()));
+      DC_RETURN_NOT_OK(AdvanceTime(ctx, out.get()));
     }
     return out;
   }
 
   size_t buffered() const override { return buffer_->num_rows(); }
   const char* mode_name() const override { return "reeval"; }
+  const PlanRunner& runner() const override { return runner_; }
+  std::string Describe() const override { return runner_.Describe(); }
+  void RegisterProfileSteps(PipelineProfile* profile) override {
+    runner_.RegisterProfileSteps(profile, 0);
+  }
 
  private:
-  Status AdvanceCount(Table* out) {
+  Status RunWindow(const TablePtr& window, const ExecContext& ctx,
+                   Table* out) {
+    DC_ASSIGN_OR_RETURN(TablePtr result,
+                        runner_.Run(std::span(&window, 1), ctx, nullptr));
+    return out->AppendTable(*result);
+  }
+
+  Status AdvanceCount(const ExecContext& ctx, Table* out) {
     size_t size = static_cast<size_t>(window_.size);
     size_t slide = static_cast<size_t>(window_.slide);
     while (buffer_->num_rows() >= size) {
-      TablePtr window = TablePtr(buffer_->Slice(0, size));
-      PlanBindings bindings = static_bindings_;
-      bindings[bind_name_] = std::move(window);
-      DC_ASSIGN_OR_RETURN(TablePtr result, ExecutePlan(*plan_, bindings));
-      DC_RETURN_NOT_OK(out->AppendTable(*result));
+      DC_RETURN_NOT_OK(RunWindow(TablePtr(buffer_->Slice(0, size)), ctx, out));
       buffer_->RemovePrefix(slide);
     }
     return Status::OK();
   }
 
-  Status AdvanceTime(Table* out) {
+  Status AdvanceTime(const ExecContext& ctx, Table* out) {
     const Bat& ts = *buffer_->column(ts_column_);
     if (ts.size() == 0) return Status::OK();
     if (!started_) {
@@ -162,11 +140,8 @@ class ReEvalWindowExecutor final : public WindowExecutor {
       if (cur_ts.size() == 0 || max_ts < window_end) break;
       std::vector<size_t> in_window =
           SelectRangeInt64(cur_ts, window_start_, window_end - 1);
-      TablePtr window = TablePtr(buffer_->Take(in_window));
-      PlanBindings bindings = static_bindings_;
-      bindings[bind_name_] = std::move(window);
-      DC_ASSIGN_OR_RETURN(TablePtr result, ExecutePlan(*plan_, bindings));
-      DC_RETURN_NOT_OK(out->AppendTable(*result));
+      DC_RETURN_NOT_OK(
+          RunWindow(TablePtr(buffer_->Take(in_window)), ctx, out));
       window_start_ += window_.slide;
       // Expire tuples that can no longer fall into any future window.
       std::vector<size_t> expired =
@@ -177,11 +152,9 @@ class ReEvalWindowExecutor final : public WindowExecutor {
     return Status::OK();
   }
 
-  PlanPtr plan_;
-  std::string bind_name_;
+  PlanRunner runner_;
   sql::WindowSpec window_;
   Schema output_schema_;
-  PlanBindings static_bindings_;
   std::shared_ptr<Table> buffer_;
   size_t ts_column_ = 0;
   bool started_ = false;
@@ -189,8 +162,9 @@ class ReEvalWindowExecutor final : public WindowExecutor {
 };
 
 /// Shared machinery of the basic-window executors: per-chunk group
-/// summaries, merging, and re-entry into the above-aggregate plan.
-class IncrementalCore {
+/// summaries, merging, and re-entry into the above-aggregate plan. Neither
+/// sub-plan reads a static table.
+class IncrementalCore : public WindowExecutor {
  public:
   struct GroupEntry {
     Row group_values;                  // one value per group column
@@ -198,21 +172,39 @@ class IncrementalCore {
   };
   using ChunkSummary = std::map<std::string, GroupEntry>;
 
-  IncrementalCore(AggregateDecomposition decomposition, std::string bind_name,
-                  PlanBindings static_bindings)
+  IncrementalCore(AggregateDecomposition decomposition,
+                  const std::string& bind_name, bool specialize)
       : decomposition_(std::move(decomposition)),
-        bind_name_(std::move(bind_name)),
-        static_bindings_(std::move(static_bindings)) {}
+        below_(decomposition_.below_aggregate, {bind_name}, {}, specialize),
+        above_(decomposition_.above_aggregate, {kAggOutBinding}, {},
+               specialize) {}
 
-  const AggregateDecomposition& decomposition() const { return decomposition_; }
+  const char* mode_name() const override { return "incremental"; }
+  const PlanRunner& runner() const override { return below_; }
 
+  std::string Describe() const override {
+    return "below the aggregate, per chunk: " + below_.Describe() +
+           "\nabove the aggregate, per window: " + above_.Describe();
+  }
+
+  /// A header step per phase over its sub-plan's steps: the chunk summary
+  /// (below-aggregate run + grouping) and the window emission (merge +
+  /// above-aggregate run).
+  void RegisterProfileSteps(PipelineProfile* profile) override {
+    summarise_step_ = profile->AddStep("window chunk summary", 0);
+    below_.RegisterProfileSteps(profile, 1);
+    emit_step_ = profile->AddStep("window emit", 0);
+    above_.RegisterProfileSteps(profile, 1);
+  }
+
+ protected:
   /// Runs the below-aggregate pipeline on `chunk` and summarises it into
   /// per-group partial aggregates.
-  Result<ChunkSummary> Summarise(const Table& chunk) const {
-    PlanBindings bindings = static_bindings_;
-    bindings[bind_name_] = TablePtr(chunk.Clone());
+  Result<ChunkSummary> Summarise(const TablePtr& chunk,
+                                 const ExecContext& ctx) {
+    int64_t t0 = ctx.profile != nullptr ? ProfileNowNs() : 0;
     DC_ASSIGN_OR_RETURN(TablePtr pre,
-                        ExecutePlan(*decomposition_.below_aggregate, bindings));
+                        below_.Run(std::span(&chunk, 1), ctx, nullptr));
     DC_ASSIGN_OR_RETURN(Grouping grouping,
                         GroupBy(*pre, decomposition_.group_columns));
     std::vector<std::vector<AggPartial>> per_spec;
@@ -225,7 +217,7 @@ class IncrementalCore {
       } else {
         DC_ASSIGN_OR_RETURN(
             std::vector<AggPartial> partials,
-            AggregateByGroup(*pre->column(spec.input_column), grouping));
+            AggregateByGroup(*pre->column(spec.input_column), grouping, ctx));
         per_spec.push_back(std::move(partials));
       }
     }
@@ -242,9 +234,14 @@ class IncrementalCore {
       }
       summary.emplace(std::move(key), std::move(entry));
     }
+    if (ctx.profile != nullptr) {
+      ctx.profile->RecordStep(summarise_step_,
+                              static_cast<int64_t>(chunk->num_rows()),
+                              static_cast<int64_t>(summary.size()),
+                              ProfileNowNs() - t0);
+    }
     return summary;
   }
-
   /// Merges `src` into `dst` group-wise (late tuples joining an existing
   /// basic window take this path too).
   static void MergeInto(ChunkSummary* dst, const ChunkSummary& src) {
@@ -261,12 +258,14 @@ class IncrementalCore {
   /// Combines the summaries of one window's chunks, materialises the
   /// aggregate output and runs the rest of the plan; appends to `out`.
   template <typename ChunkIt>
-  Status EmitWindow(ChunkIt first, ChunkIt last, Table* out) const {
+  Status EmitWindow(ChunkIt first, ChunkIt last, const ExecContext& ctx,
+                    Table* out) {
+    int64_t t0 = ctx.profile != nullptr ? ProfileNowNs() : 0;
     ChunkSummary merged;
     for (ChunkIt it = first; it != last; ++it) {
       MergeInto(&merged, *it);
     }
-    auto agg_table =
+    TablePtr agg_table =
         std::make_shared<Table>("", decomposition_.aggregate_schema);
     if (decomposition_.group_columns.empty()) {
       // Scalar aggregation: exactly one row, even for an empty window.
@@ -293,17 +292,22 @@ class IncrementalCore {
         DC_RETURN_NOT_OK(agg_table->AppendRow(row));
       }
     }
-    PlanBindings bindings = static_bindings_;
-    bindings[kAggOutBinding] = std::move(agg_table);
     DC_ASSIGN_OR_RETURN(TablePtr result,
-                        ExecutePlan(*decomposition_.above_aggregate, bindings));
+                        above_.Run(std::span(&agg_table, 1), ctx, nullptr));
+    if (ctx.profile != nullptr) {
+      ctx.profile->RecordStep(emit_step_, static_cast<int64_t>(merged.size()),
+                              static_cast<int64_t>(result->num_rows()),
+                              ProfileNowNs() - t0);
+    }
     return out->AppendTable(*result);
   }
 
  private:
   AggregateDecomposition decomposition_;
-  std::string bind_name_;
-  PlanBindings static_bindings_;
+  PlanRunner below_;
+  PlanRunner above_;
+  size_t summarise_step_ = PipelineProfile::kNoStep;
+  size_t emit_step_ = PipelineProfile::kNoStep;
 };
 
 /// Basic-window model for count windows: the stream is cut into slide-sized
@@ -311,13 +315,13 @@ class IncrementalCore {
 /// emission merges the summaries of the size/slide most recent chunks.
 /// Expiry = dropping the oldest chunk — no subtraction, so min/max stay
 /// exact.
-class IncrementalWindowExecutor final : public WindowExecutor {
+class IncrementalWindowExecutor final : public IncrementalCore {
  public:
   IncrementalWindowExecutor(const sql::CompiledQuery& query,
                             AggregateDecomposition decomposition,
-                            PlanBindings static_bindings)
-      : core_(std::move(decomposition), query.inputs[0].bind_name,
-              std::move(static_bindings)),
+                            bool specialize)
+      : IncrementalCore(std::move(decomposition), query.inputs[0].bind_name,
+                        specialize),
         output_schema_(query.output_schema),
         chunk_size_(static_cast<size_t>(query.window.slide)),
         chunks_per_window_(
@@ -325,18 +329,18 @@ class IncrementalWindowExecutor final : public WindowExecutor {
         pending_(std::make_shared<Table>("__window_pending",
                                          query.inputs[0].basket_schema)) {}
 
-  Result<TablePtr> Advance(const Table& new_tuples) override {
+  Result<TablePtr> Advance(const Table& new_tuples,
+                           const ExecContext& ctx) override {
     DC_RETURN_NOT_OK(pending_->AppendTable(new_tuples));
     auto out = std::make_shared<Table>("", output_schema_);
     while (pending_->num_rows() >= chunk_size_) {
       TablePtr chunk = TablePtr(pending_->Slice(0, chunk_size_));
       pending_->RemovePrefix(chunk_size_);
-      DC_ASSIGN_OR_RETURN(IncrementalCore::ChunkSummary summary,
-                          core_.Summarise(*chunk));
+      DC_ASSIGN_OR_RETURN(ChunkSummary summary, Summarise(chunk, ctx));
       chunks_.push_back(std::move(summary));
       if (chunks_.size() == chunks_per_window_) {
-        DC_RETURN_NOT_OK(core_.EmitWindow(chunks_.begin(), chunks_.end(),
-                                          out.get()));
+        DC_RETURN_NOT_OK(
+            EmitWindow(chunks_.begin(), chunks_.end(), ctx, out.get()));
         chunks_.pop_front();  // slide: expire the oldest basic window
       }
     }
@@ -346,15 +350,13 @@ class IncrementalWindowExecutor final : public WindowExecutor {
   size_t buffered() const override {
     return pending_->num_rows() + chunks_.size() * chunk_size_;
   }
-  const char* mode_name() const override { return "incremental"; }
 
  private:
-  IncrementalCore core_;
   Schema output_schema_;
   size_t chunk_size_;
   size_t chunks_per_window_;
   std::shared_ptr<Table> pending_;
-  std::deque<IncrementalCore::ChunkSummary> chunks_;
+  std::deque<ChunkSummary> chunks_;
 };
 
 /// Basic-window model for time windows: chunks are slide-length time
@@ -362,13 +364,13 @@ class IncrementalWindowExecutor final : public WindowExecutor {
 /// consecutive chunks and close when a tuple at/after the window end is
 /// observed. Late tuples merge into their (not yet expired) chunk summary;
 /// tuples older than the oldest live window are dropped and counted.
-class TimeIncrementalWindowExecutor final : public WindowExecutor {
+class TimeIncrementalWindowExecutor final : public IncrementalCore {
  public:
   TimeIncrementalWindowExecutor(const sql::CompiledQuery& query,
                                 AggregateDecomposition decomposition,
-                                PlanBindings static_bindings)
-      : core_(std::move(decomposition), query.inputs[0].bind_name,
-              std::move(static_bindings)),
+                                bool specialize)
+      : IncrementalCore(std::move(decomposition), query.inputs[0].bind_name,
+                        specialize),
         output_schema_(query.output_schema),
         input_schema_(query.inputs[0].basket_schema),
         slide_us_(query.window.slide),
@@ -377,7 +379,8 @@ class TimeIncrementalWindowExecutor final : public WindowExecutor {
     ts_column_ = input_schema_.num_fields() - 1;
   }
 
-  Result<TablePtr> Advance(const Table& new_tuples) override {
+  Result<TablePtr> Advance(const Table& new_tuples,
+                           const ExecContext& ctx) override {
     auto out = std::make_shared<Table>("", output_schema_);
     if (new_tuples.num_rows() == 0) return out;
     const Bat& ts = *new_tuples.column(ts_column_);
@@ -401,28 +404,28 @@ class TimeIncrementalWindowExecutor final : public WindowExecutor {
       by_chunk[(t - anchor_) / slide_us_].push_back(i);
     }
     for (const auto& [chunk_index, positions] : by_chunk) {
-      TablePtr chunk = TablePtr(new_tuples.Take(positions));
-      DC_ASSIGN_OR_RETURN(IncrementalCore::ChunkSummary summary,
-                          core_.Summarise(*chunk));
+      DC_ASSIGN_OR_RETURN(
+          ChunkSummary summary,
+          Summarise(TablePtr(new_tuples.Take(positions)), ctx));
       auto it = chunks_.find(chunk_index);
       if (it == chunks_.end()) {
         chunks_.emplace(chunk_index, std::move(summary));
       } else {
         // Late tuples for a still-live basic window: merge the summaries.
-        IncrementalCore::MergeInto(&it->second, summary);
+        MergeInto(&it->second, summary);
       }
     }
     // Close every window whose end the stream has passed.
     while (max_seen_ >=
            anchor_ + next_window_ * slide_us_ +
                static_cast<int64_t>(chunks_per_window_) * slide_us_) {
-      std::vector<IncrementalCore::ChunkSummary> window_chunks;
+      std::vector<ChunkSummary> window_chunks;
       for (size_t k = 0; k < chunks_per_window_; ++k) {
         auto it = chunks_.find(next_window_ + static_cast<int64_t>(k));
         if (it != chunks_.end()) window_chunks.push_back(it->second);
       }
-      DC_RETURN_NOT_OK(core_.EmitWindow(window_chunks.begin(),
-                                        window_chunks.end(), out.get()));
+      DC_RETURN_NOT_OK(EmitWindow(window_chunks.begin(), window_chunks.end(),
+                                  ctx, out.get()));
       chunks_.erase(next_window_);
       ++next_window_;
     }
@@ -430,11 +433,9 @@ class TimeIncrementalWindowExecutor final : public WindowExecutor {
   }
 
   size_t buffered() const override { return chunks_.size(); }
-  const char* mode_name() const override { return "incremental"; }
   int64_t late_dropped() const { return late_dropped_; }
 
  private:
-  IncrementalCore core_;
   Schema output_schema_;
   Schema input_schema_;
   size_t ts_column_;
@@ -444,7 +445,7 @@ class TimeIncrementalWindowExecutor final : public WindowExecutor {
   Timestamp anchor_ = 0;
   Timestamp max_seen_ = 0;
   int64_t next_window_ = 0;  // index of the oldest unemitted window
-  std::map<int64_t, IncrementalCore::ChunkSummary> chunks_;
+  std::map<int64_t, ChunkSummary> chunks_;
   int64_t late_dropped_ = 0;
 };
 
@@ -452,7 +453,7 @@ class TimeIncrementalWindowExecutor final : public WindowExecutor {
 
 Result<std::unique_ptr<WindowExecutor>> WindowExecutor::Create(
     const sql::CompiledQuery& query, WindowMode mode,
-    PlanBindings static_bindings) {
+    PlanBindings static_bindings, bool specialize) {
   if (query.window.kind == sql::WindowSpec::Kind::kNone) {
     return Status::InvalidArgument("query has no window clause");
   }
@@ -471,22 +472,24 @@ Result<std::unique_ptr<WindowExecutor>> WindowExecutor::Create(
         internal_window::DecomposeAggregatePlan(query.plan));
     if (query.window.kind == sql::WindowSpec::Kind::kTime) {
       return std::unique_ptr<WindowExecutor>(new TimeIncrementalWindowExecutor(
-          query, std::move(decomposition), static_bindings));
+          query, std::move(decomposition), specialize));
     }
     return std::unique_ptr<WindowExecutor>(new IncrementalWindowExecutor(
-        query, std::move(decomposition), static_bindings));
+        query, std::move(decomposition), specialize));
   };
   switch (mode) {
     case WindowMode::kReEvaluation:
       return std::unique_ptr<WindowExecutor>(
-          new ReEvalWindowExecutor(query, std::move(static_bindings)));
+          new ReEvalWindowExecutor(query, std::move(static_bindings),
+                                   specialize));
     case WindowMode::kIncremental:
       return try_incremental();
     case WindowMode::kAuto: {
       auto inc = try_incremental();
       if (inc.ok()) return inc;
       return std::unique_ptr<WindowExecutor>(
-          new ReEvalWindowExecutor(query, std::move(static_bindings)));
+          new ReEvalWindowExecutor(query, std::move(static_bindings),
+                                   specialize));
     }
   }
   return Status::Internal("bad window mode");

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "algebra/plan.h"
+#include "algebra/specialize.h"
 #include "common/clock.h"
 #include "sql/planner.h"
 
@@ -33,12 +34,15 @@ enum class WindowMode {
 ///
 /// Windows are realised purely by scheduling and plan re-binding over the
 /// unchanged relational kernel — the paper's constraint of not adding
-/// special window operators.
+/// special window operators. Each window sub-plan runs through a PlanRunner,
+/// like any continuous plan.
 class WindowExecutor {
  public:
   virtual ~WindowExecutor() = default;
 
-  virtual Result<TablePtr> Advance(const Table& new_tuples) = 0;
+  /// Runs the sub-plans under `ctx`, the firing's execution context.
+  virtual Result<TablePtr> Advance(const Table& new_tuples,
+                                   const ExecContext& ctx) = 0;
 
   /// Tuples currently buffered awaiting window completion.
   virtual size_t buffered() const = 0;
@@ -46,12 +50,20 @@ class WindowExecutor {
   /// "reeval" or "incremental" (for introspection and EXPERIMENTS.md).
   virtual const char* mode_name() const = 0;
 
+  /// The runner every buffered tuple passes through: the whole plan
+  /// (re-evaluation) or the chain below the aggregate (incremental).
+  virtual const PlanRunner& runner() const = 0;
+  /// \explain text: how each sub-plan runs.
+  virtual std::string Describe() const = 0;
+  /// Registers the sub-plans' profile steps; call once.
+  virtual void RegisterProfileSteps(PipelineProfile* profile) = 0;
+
   /// Builds an executor for `query` (which must be windowed and have exactly
   /// one stream input). `static_bindings` supplies non-stream relations the
   /// plan joins against. kAuto picks incremental when the plan qualifies.
   static Result<std::unique_ptr<WindowExecutor>> Create(
       const sql::CompiledQuery& query, WindowMode mode,
-      PlanBindings static_bindings);
+      PlanBindings static_bindings, bool specialize);
 };
 
 namespace internal_window {

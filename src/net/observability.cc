@@ -103,6 +103,10 @@ std::string ObservabilityServer::QueriesJson() const {
         out += ",\"fallback_reason\":";
         AppendJsonString(out, f->specialize_fallback());
       }
+      // How every part runs: a windowed query's above-aggregate chain and a
+      // split plan's interpreted part show here, not in "specialized".
+      out += ",\"pipeline\":";
+      AppendJsonString(out, f->PipelineDescription());
       out += ",\"window_mode\":";
       AppendJsonString(out, f->window_mode_name());
       out += ",\"results_emitted\":" + std::to_string(f->results_emitted());

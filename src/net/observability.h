@@ -17,8 +17,9 @@ namespace datacell {
 ///                     filter (the \metrics prefix view over HTTP)
 ///   /trace            Chrome trace_event JSON of the trace ring (empty
 ///                     object when tracing is off)
-///   /queries          JSON array: per-query name/sql/pipeline state plus
-///                     the per-step profiler snapshot
+///   /queries          JSON array: per-query name/sql/pipeline state (the
+///                     \explain pipeline text included) plus the per-step
+///                     profiler snapshot
 ///
 /// All handlers call snapshot-style engine accessors that are safe while
 /// the scheduler runs; scraping a live engine is the point.

@@ -455,6 +455,11 @@ TEST(DatapathKernelTest, Avx2SelectMatchesScalar) {
   EXPECT_EQ(scalar_out, simd_out);
 }
 
+// Filter under a projection or a scalar aggregate, run on the interpreter.
+// The interpreter has no fused paths: these shapes execute as plain filter,
+// project and aggregate nodes, and must still match a hand-computed
+// reference (the specializer's fused kernels are pinned against the
+// interpreter in specialize_test.cc).
 class FusedPlanTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -489,7 +494,7 @@ class FusedPlanTest : public ::testing::Test {
 };
 
 TEST_F(FusedPlanTest, FusedProjectMatchesReference) {
-  // Project(Filter(Scan)) with plain column refs takes the fused gather.
+  // Project(Filter(Scan)) with plain column refs.
   auto got = Run("select b, a from t where a >= 10 and a <= 20");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_EQ((*got)->num_rows(), 11u);

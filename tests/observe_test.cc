@@ -346,6 +346,55 @@ TEST(Profiler, InterpreterFallbackSteps) {
   EXPECT_TRUE(saw_called_step) << *report;
 }
 
+// Window sub-plans run under the firing's execution context, so a windowed
+// query's profile records its steps — on the specialized pipeline and on
+// the interpreter alike.
+TEST(Profiler, WindowedQuerySteps) {
+  for (bool specialize : {true, false}) {
+    SCOPED_TRACE(specialize ? "specialized" : "interpreter");
+    EngineOptions opts = Profiled();
+    opts.specialize_plans = specialize;
+    Engine engine(opts);
+    ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
+    auto q = engine.SubmitContinuousQuery(
+        "win",
+        "select sum(x) from [select * from r] as s where s.x > 2 "
+        "window size 4");
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    auto info = engine.GetQuery(*q);
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ((*info)->factory->is_specialized(), specialize);
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_TRUE(engine.Ingest("r", {Value::Int64(i)}).ok());
+    }
+    engine.Drain();
+
+    auto report = engine.ProfileReport(*q);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    PipelineProfile::Snapshot snap = (*info)->factory->profile().Snap();
+    EXPECT_EQ(snap.fires, 1) << *report;
+    // Four tumbling windows of four tuples; x > 2 keeps 13 of the 16.
+    int checked = 0;
+    for (const PipelineProfile::StepSnapshot& s : snap.steps) {
+      if (s.label == "window chunk summary") {
+        EXPECT_EQ(s.calls, 4) << *report;
+        EXPECT_EQ(s.rows_in, 16) << *report;
+        EXPECT_EQ(s.rows_out, 4) << *report;
+        ++checked;
+      } else if (s.label == "window emit") {
+        EXPECT_EQ(s.calls, 4) << *report;
+        EXPECT_EQ(s.rows_out, 4) << *report;
+        ++checked;
+      } else if (s.label.find("ilter") != std::string::npos) {
+        EXPECT_EQ(s.calls, 4) << *report;
+        EXPECT_EQ(s.rows_out, 13) << *report;
+        ++checked;
+      }
+    }
+    EXPECT_EQ(checked, 3) << *report;
+  }
+}
+
 TEST(Profiler, ExportedAsLabeledSeries) {
   Engine engine(Profiled());
   ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
@@ -615,6 +664,28 @@ TEST(HttpEndpoint, RoutesAndErrors) {
   EXPECT_FALSE(server.running());
   // After Stop the port no longer answers.
   EXPECT_EQ(HttpGet(server.port(), "/healthz"), "");
+}
+
+// A windowed query counts as specialized by its per-tuple sub-plan; the
+// "pipeline" text still names an above-aggregate chain that fell back.
+TEST(HttpEndpoint, QueriesJsonNamesEachSubPlan) {
+  Engine engine(Observed());
+  ASSERT_TRUE(engine.ExecuteSql("create basket r (k int, v int)").ok());
+  QueryOptions incremental;
+  incremental.window_mode = WindowMode::kIncremental;
+  auto q = engine.SubmitContinuousQuery(
+      "win",
+      "select k, sum(v) as s from [select * from r] as w group by k "
+      "order by s window size 4",
+      incremental);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ObservabilityServer server(&engine);
+  std::string json = server.QueriesJson();
+  EXPECT_NE(json.find("\"specialized\":true"), std::string::npos) << json;
+  EXPECT_NE(json.find("above the aggregate, per window: interpreter "
+                      "(fallback: "),
+            std::string::npos)
+      << json;
 }
 
 TEST(HttpEndpoint, StartStopRestart) {

@@ -66,10 +66,10 @@ class TwinHarness {
     ASSERT_TRUE(r2.ok()) << sql << " -> " << r2.status().ToString();
   }
 
-  void Submit(const std::string& sql) {
-    auto q1 = spec_.SubmitContinuousQuery("q", sql);
+  void Submit(const std::string& sql, QueryOptions options = {}) {
+    auto q1 = spec_.SubmitContinuousQuery("q", sql, options);
     ASSERT_TRUE(q1.ok()) << sql << " -> " << q1.status().ToString();
-    auto q2 = interp_.SubmitContinuousQuery("q", sql);
+    auto q2 = interp_.SubmitContinuousQuery("q", sql, options);
     ASSERT_TRUE(q2.ok()) << sql << " -> " << q2.status().ToString();
     spec_q_ = *q1;
     interp_q_ = *q2;
@@ -108,6 +108,22 @@ class TwinHarness {
     EXPECT_NE((*q)->factory->specialize_fallback().find(reason_substring),
               std::string::npos)
         << "fallback reason was: " << (*q)->factory->specialize_fallback();
+  }
+
+  /// Windowed shapes: both engines must pick the same evaluation mode, and
+  /// the specializing engine's \explain text names what it compiled.
+  void ExpectWindowMode(const std::string& mode) {
+    auto s = spec_.GetQuery(spec_q_);
+    auto i = interp_.GetQuery(interp_q_);
+    ASSERT_TRUE(s.ok() && i.ok());
+    EXPECT_EQ((*s)->factory->window_mode_name(), mode);
+    EXPECT_EQ((*i)->factory->window_mode_name(), mode);
+    EXPECT_EQ((*i)->factory->specialize_fallback(), "specialization disabled");
+  }
+
+  std::string SpecPipeline() {
+    auto q = spec_.GetQuery(spec_q_);
+    return q.ok() ? (*q)->factory->PipelineDescription() : "";
   }
 
   void ExpectSameResults(size_t expect_at_least = 0) {
@@ -272,6 +288,38 @@ TEST_F(SpecializeEquivalenceTest, AndOrNotCombinators) {
   twin_.Ingest("r", {Value::Null(), Value::Double(5.0)});
   twin_.Ingest("r", {Value::Int64(5), Value::Null()});
   twin_.Ingest("r", {Value::Null(), Value::Null()});
+  twin_.Drain();
+  twin_.ExpectSameResults(1);
+}
+
+// Terms no lowering rule expresses (computed operands, column-column
+// comparisons) compile as generic leaves: evaluated by the expression
+// evaluator, combined with the lowered leaves as position sets.
+TEST_F(SpecializeEquivalenceTest, GenericPredicateLeaves) {
+  twin_.Sql("create basket r (x int, y int)");
+  twin_.Submit(
+      "select x from [select * from r] as s "
+      "where s.x < 50 and s.x % 10 <> 3 and not (s.x > s.y)");
+  twin_.ExpectSpecialized();
+  for (int i = 0; i < 60; ++i) {
+    twin_.Ingest("r", {Value::Int64(i), Value::Int64(i % 7 == 0 ? 0 : 100)});
+  }
+  twin_.Ingest("r", {Value::Null(), Value::Int64(5)});
+  twin_.Ingest("r", {Value::Int64(4), Value::Null()});
+  twin_.Drain();
+  twin_.ExpectSameResults(30);
+}
+
+TEST_F(SpecializeEquivalenceTest, GenericPredicateUnderAggregate) {
+  twin_.Sql("create basket r (x int, y double)");
+  twin_.Submit(
+      "select count(*), sum(y), max(x) from [select * from r] as s "
+      "where s.x * 2 > s.y or s.x % 4 = 1");
+  twin_.ExpectSpecialized();
+  for (int i = 0; i < 20; ++i) {
+    twin_.Ingest("r", {Value::Int64(i), Value::Double(i * 3.5)});
+  }
+  twin_.Ingest("r", {Value::Null(), Value::Double(1.0)});
   twin_.Drain();
   twin_.ExpectSameResults(1);
 }
@@ -459,16 +507,116 @@ TEST_F(SpecializeEquivalenceTest, JoinThenFilterThenAggregate) {
   twin_.ExpectSameResults(1);
 }
 
-// --- fallback reasons ----------------------------------------------------
+// --- windows -------------------------------------------------------------
+// Window sub-plans compile through the same specializer: the whole
+// per-window plan (re-evaluation) or the chain below the aggregate
+// (incremental basic windows), each driven per window or per chunk.
 
-TEST_F(SpecializeEquivalenceTest, WindowedQueryFallsBack) {
+TEST_F(SpecializeEquivalenceTest, CountWindowReEval) {
+  twin_.Sql("create basket r (x int, y double)");
+  QueryOptions reeval;
+  reeval.window_mode = WindowMode::kReEvaluation;
+  twin_.Submit(
+      "select count(*), sum(y), min(x), max(x) from [select * from r] as s "
+      "where s.x > 2 window size 4 slide 2",
+      reeval);
+  twin_.ExpectSpecialized();
+  twin_.ExpectWindowMode("reeval");
+  for (int i = 0; i < 12; ++i) {
+    twin_.Ingest("r", {i % 5 == 4 ? Value::Null() : Value::Int64(i % 7),
+                       Value::Double(i * 0.25)});
+  }
+  twin_.Drain();
+  twin_.ExpectSameResults(5);  // windows start at tuples 0, 2, 4, 6, 8
+}
+
+TEST_F(SpecializeEquivalenceTest, CountWindowIncremental) {
+  twin_.Sql("create basket r (x int, y double)");
+  twin_.Submit(
+      "select count(*), sum(x), avg(y) from [select * from r] as s "
+      "where s.y < 2.0 window size 6 slide 3");
+  twin_.ExpectSpecialized();
+  twin_.ExpectWindowMode("incremental");
+  for (int i = 0; i < 15; ++i) {
+    twin_.Ingest("r", {Value::Int64(i), Value::Double(i * 0.25)});
+    if (i % 4 == 3) twin_.Drain();  // chunks straddle firings
+  }
+  twin_.Drain();
+  twin_.ExpectSameResults(4);
+}
+
+TEST_F(SpecializeEquivalenceTest, TimeWindowIncremental) {
   twin_.Sql("create basket r (x int)");
   twin_.Submit(
-      "select sum(x) from [select * from r] as s window size 4");
-  twin_.ExpectFallback("windowed");
-  for (int i = 0; i < 8; ++i) twin_.Ingest("r", {Value::Int64(i)});
+      "select count(*), sum(x), max(x) from [select * from r] as s "
+      "where s.x >= 2 window range 4 milliseconds slide 2 milliseconds");
+  twin_.ExpectSpecialized();
+  twin_.ExpectWindowMode("incremental");
+  for (int i = 0; i < 12; ++i) {
+    twin_.Ingest("r", {Value::Int64(i)});  // one tuple per simulated ms
+    if (i % 5 == 4) twin_.Drain();
+  }
   twin_.Drain();
-  twin_.ExpectSameResults(1);  // both on the interpreter: still equivalent
+  twin_.ExpectSameResults(4);
+}
+
+TEST_F(SpecializeEquivalenceTest, GroupedIncrementalWindow) {
+  twin_.Sql("create basket r (k int, v int)");
+  twin_.Submit(
+      "select k, count(*), sum(v), min(v) from [select * from r] as s "
+      "where s.v > 1 group by k window size 8 slide 4");
+  // The chain below the aggregate specializes; the grouping itself stays
+  // in the executor's per-chunk summary.
+  twin_.ExpectSpecialized();
+  twin_.ExpectWindowMode("incremental");
+  EXPECT_NE(twin_.SpecPipeline().find("specialized pipeline"),
+            std::string::npos)
+      << twin_.SpecPipeline();
+  for (int i = 0; i < 20; ++i) {
+    twin_.Ingest("r", {Value::Int64(i % 3), Value::Int64(i)});
+  }
+  twin_.Drain();
+  twin_.ExpectSameResults(9);  // 4 windows x up to 3 groups
+}
+
+TEST_F(SpecializeEquivalenceTest, GroupedReEvalWindowFallsBack) {
+  twin_.Sql("create basket r (k int, v int)");
+  QueryOptions reeval;
+  reeval.window_mode = WindowMode::kReEvaluation;
+  twin_.Submit(
+      "select k, sum(v) from [select * from r] as s group by k "
+      "window size 4",
+      reeval);
+  twin_.ExpectFallback("GROUP BY");
+  twin_.ExpectWindowMode("reeval");
+  EXPECT_NE(twin_.SpecPipeline().find("interpreter (fallback: GROUP BY"),
+            std::string::npos)
+      << twin_.SpecPipeline();
+  for (int i = 0; i < 8; ++i) {
+    twin_.Ingest("r", {Value::Int64(i % 2), Value::Int64(i)});
+  }
+  twin_.Drain();
+  twin_.ExpectSameResults(4);
+}
+
+// --- fallback reasons ----------------------------------------------------
+
+// A filter under a column-ref projection over a stream-stream join: the
+// interpreter runs it as plain filter and project nodes.
+TEST_F(SpecializeEquivalenceTest, StreamStreamJoinFilterProjectFallsBack) {
+  twin_.Sql("create basket a (k int, x int)");
+  twin_.Sql("create basket b (k int, y int)");
+  twin_.Submit(
+      "select s1.x, s2.y from [select * from a] as s1 "
+      "join [select * from b] as s2 on s1.k = s2.k where s1.x > 2");
+  twin_.ExpectFallback("multiple stream inputs");
+  for (int i = 0; i < 6; ++i) {
+    twin_.Ingest("a", {Value::Int64(i % 3), Value::Int64(i)});
+    twin_.Ingest("b", {Value::Int64(i % 2), Value::Int64(10 * i)});
+  }
+  twin_.Drain();
+  // a rows with x > 2: (0,3) (1,4) (2,5); b has 3 rows each for k=0, k=1.
+  twin_.ExpectSameResults(6);
 }
 
 TEST_F(SpecializeEquivalenceTest, GroupByFallsBack) {
@@ -479,6 +627,36 @@ TEST_F(SpecializeEquivalenceTest, GroupByFallsBack) {
   for (int i = 0; i < 6; ++i) twin_.Ingest("r", {Value::Int64(i % 2)});
   twin_.Drain();
   twin_.ExpectSameResults(1);
+}
+
+// Fallback shapes whose filter sits under a column-ref projection: the
+// interpreter runs them as plain filter and project nodes.
+TEST_F(SpecializeEquivalenceTest, GroupByWithFilterFallsBack) {
+  twin_.Sql("create basket r (k int, v int)");
+  twin_.Submit(
+      "select k, count(*), sum(v), min(v) from [select * from r] as s "
+      "where s.v > 2 and s.v % 5 <> 0 group by k");
+  twin_.ExpectFallback("GROUP BY");
+  for (int i = 0; i < 30; ++i) {
+    twin_.Ingest("r", {Value::Int64(i % 4), Value::Int64(i)});
+  }
+  twin_.Ingest("r", {Value::Null(), Value::Int64(7)});
+  twin_.Ingest("r", {Value::Int64(1), Value::Null()});
+  twin_.Drain();
+  twin_.ExpectSameResults(5);
+}
+
+TEST_F(SpecializeEquivalenceTest, OrderByLimitFallsBack) {
+  twin_.Sql("create basket r (x int, y int)");
+  twin_.Submit(
+      "select x, y from [select * from r] as s where s.x > 3 "
+      "order by y desc limit 4");
+  twin_.ExpectFallback("Limit");
+  for (int i = 0; i < 12; ++i) {
+    twin_.Ingest("r", {Value::Int64(i), Value::Int64((i * 7) % 11)});
+  }
+  twin_.Drain();
+  twin_.ExpectSameResults(4);
 }
 
 TEST(SpecializeFallbackTest, DisabledByOption) {

@@ -7,6 +7,12 @@
 namespace datacell {
 namespace {
 
+// Default execution context: scalar kernels, no profile.
+const ExecContext kScalar;
+// Executors here compile their sub-plans, as under the default
+// EngineOptions; the specialize twin suite covers the interpreter side.
+constexpr bool kSpecialize = true;
+
 class WindowTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -47,13 +53,14 @@ class WindowTest : public ::testing::Test {
 TEST_F(WindowTest, TumblingCountSum) {
   auto q = Compile(
       "select sum(v) as s from [select * from r] as w window size 4");
-  auto exec = WindowExecutor::Create(q, WindowMode::kReEvaluation, {});
+  auto exec = WindowExecutor::Create(q, WindowMode::kReEvaluation, {}, kSpecialize);
   ASSERT_TRUE(exec.ok());
-  auto out = (*exec)->Advance(*Batch({{0, 1, 0}, {0, 2, 0}, {0, 3, 0}}));
+  auto out =
+      (*exec)->Advance(*Batch({{0, 1, 0}, {0, 2, 0}, {0, 3, 0}}), kScalar);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ((*out)->num_rows(), 0u);  // window incomplete
   EXPECT_EQ((*exec)->buffered(), 3u);
-  out = (*exec)->Advance(*Batch({{0, 4, 0}, {0, 5, 0}}));
+  out = (*exec)->Advance(*Batch({{0, 4, 0}, {0, 5, 0}}), kScalar);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ((*out)->num_rows(), 1u);
   EXPECT_EQ((*out)->GetRow(0)[0], Value::Double(10));  // 1+2+3+4
@@ -64,12 +71,12 @@ TEST_F(WindowTest, SlidingCountWindows) {
   auto q = Compile(
       "select count(*) as c, sum(v) as s from [select * from r] as w "
       "window size 4 slide 2");
-  auto exec = WindowExecutor::Create(q, WindowMode::kReEvaluation, {});
+  auto exec = WindowExecutor::Create(q, WindowMode::kReEvaluation, {}, kSpecialize);
   ASSERT_TRUE(exec.ok());
   // 8 tuples -> windows [1..4], [3..6], [5..8].
   std::vector<std::array<int64_t, 3>> rows;
   for (int64_t i = 1; i <= 8; ++i) rows.push_back({0, i, 0});
-  auto out = (*exec)->Advance(*Batch(rows));
+  auto out = (*exec)->Advance(*Batch(rows), kScalar);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ((*out)->num_rows(), 3u);
   EXPECT_EQ((*out)->GetRow(0)[1], Value::Double(1 + 2 + 3 + 4));
@@ -80,9 +87,9 @@ TEST_F(WindowTest, SlidingCountWindows) {
 TEST_F(WindowTest, IncrementalRequiresAggregateShape) {
   auto plain = Compile(
       "select k, v from [select * from r] as w window size 4");
-  EXPECT_FALSE(WindowExecutor::Create(plain, WindowMode::kIncremental, {}).ok());
+  EXPECT_FALSE(WindowExecutor::Create(plain, WindowMode::kIncremental, {}, kSpecialize).ok());
   // kAuto falls back to re-evaluation.
-  auto exec = WindowExecutor::Create(plain, WindowMode::kAuto, {});
+  auto exec = WindowExecutor::Create(plain, WindowMode::kAuto, {}, kSpecialize);
   ASSERT_TRUE(exec.ok());
   EXPECT_STREQ((*exec)->mode_name(), "reeval");
 }
@@ -90,8 +97,8 @@ TEST_F(WindowTest, IncrementalRequiresAggregateShape) {
 TEST_F(WindowTest, IncrementalRequiresDividingSlide) {
   auto q = Compile(
       "select sum(v) from [select * from r] as w window size 10 slide 3");
-  EXPECT_FALSE(WindowExecutor::Create(q, WindowMode::kIncremental, {}).ok());
-  auto exec = WindowExecutor::Create(q, WindowMode::kAuto, {});
+  EXPECT_FALSE(WindowExecutor::Create(q, WindowMode::kIncremental, {}, kSpecialize).ok());
+  auto exec = WindowExecutor::Create(q, WindowMode::kAuto, {}, kSpecialize);
   ASSERT_TRUE(exec.ok());
   EXPECT_STREQ((*exec)->mode_name(), "reeval");
 }
@@ -100,7 +107,7 @@ TEST_F(WindowTest, IncrementalPicksUpAggregatePlans) {
   auto q = Compile(
       "select k, sum(v) as s from [select * from r] as w group by k "
       "window size 6 slide 2");
-  auto exec = WindowExecutor::Create(q, WindowMode::kAuto, {});
+  auto exec = WindowExecutor::Create(q, WindowMode::kAuto, {}, kSpecialize);
   ASSERT_TRUE(exec.ok());
   EXPECT_STREQ((*exec)->mode_name(), "incremental");
 }
@@ -108,11 +115,11 @@ TEST_F(WindowTest, IncrementalPicksUpAggregatePlans) {
 TEST_F(WindowTest, IncrementalScalarSum) {
   auto q = Compile(
       "select sum(v) as s from [select * from r] as w window size 4 slide 2");
-  auto exec = WindowExecutor::Create(q, WindowMode::kIncremental, {});
+  auto exec = WindowExecutor::Create(q, WindowMode::kIncremental, {}, kSpecialize);
   ASSERT_TRUE(exec.ok());
   std::vector<std::array<int64_t, 3>> rows;
   for (int64_t i = 1; i <= 8; ++i) rows.push_back({0, i, 0});
-  auto out = (*exec)->Advance(*Batch(rows));
+  auto out = (*exec)->Advance(*Batch(rows), kScalar);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ((*out)->num_rows(), 3u);
   EXPECT_EQ((*out)->GetRow(0)[0], Value::Double(10));
@@ -126,11 +133,12 @@ TEST_F(WindowTest, IncrementalMinMaxSurvivesExpiry) {
   // produce the correct new max.
   auto q = Compile(
       "select max(v) as m from [select * from r] as w window size 4 slide 2");
-  auto exec = WindowExecutor::Create(q, WindowMode::kIncremental, {});
+  auto exec = WindowExecutor::Create(q, WindowMode::kIncremental, {}, kSpecialize);
   ASSERT_TRUE(exec.ok());
   // chunks: [9 1] [2 3] [4 5] -> windows [9 1 2 3] max 9, [2 3 4 5] max 5.
   auto out = (*exec)->Advance(
-      *Batch({{0, 9, 0}, {0, 1, 0}, {0, 2, 0}, {0, 3, 0}, {0, 4, 0}, {0, 5, 0}}));
+      *Batch({{0, 9, 0}, {0, 1, 0}, {0, 2, 0}, {0, 3, 0}, {0, 4, 0}, {0, 5, 0}}),
+      kScalar);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ((*out)->num_rows(), 2u);
   EXPECT_EQ((*out)->GetRow(0)[0], Value::Double(9));
@@ -141,16 +149,16 @@ TEST_F(WindowTest, TimeWindowsCloseOnWatermark) {
   auto q = Compile(
       "select count(*) as c from [select * from r] as w "
       "window range 10 seconds slide 10 seconds");
-  auto exec = WindowExecutor::Create(q, WindowMode::kReEvaluation, {});
+  auto exec = WindowExecutor::Create(q, WindowMode::kReEvaluation, {}, kSpecialize);
   ASSERT_TRUE(exec.ok());
   const int64_t kSec = 1000000;
   // Tuples at 1s, 3s, 9s: window [1s, 11s) not yet closed.
   auto out = (*exec)->Advance(
-      *Batch({{0, 1, 1 * kSec}, {0, 2, 3 * kSec}, {0, 3, 9 * kSec}}));
+      *Batch({{0, 1, 1 * kSec}, {0, 2, 3 * kSec}, {0, 3, 9 * kSec}}), kScalar);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ((*out)->num_rows(), 0u);
   // A tuple at 12s closes it.
-  out = (*exec)->Advance(*Batch({{0, 4, 12 * kSec}}));
+  out = (*exec)->Advance(*Batch({{0, 4, 12 * kSec}}), kScalar);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ((*out)->num_rows(), 1u);
   EXPECT_EQ((*out)->GetRow(0)[0], Value::Int64(3));
@@ -160,12 +168,12 @@ TEST_F(WindowTest, TimeWindowsHandleOutOfOrder) {
   auto q = Compile(
       "select count(*) as c from [select * from r] as w "
       "window range 10 seconds slide 10 seconds");
-  auto exec = WindowExecutor::Create(q, WindowMode::kReEvaluation, {});
+  auto exec = WindowExecutor::Create(q, WindowMode::kReEvaluation, {}, kSpecialize);
   ASSERT_TRUE(exec.ok());
   const int64_t kSec = 1000000;
   // Out-of-order arrivals within the same advance: 8s before 2s.
   auto out = (*exec)->Advance(
-      *Batch({{0, 1, 8 * kSec}, {0, 2, 2 * kSec}, {0, 3, 13 * kSec}}));
+      *Batch({{0, 1, 8 * kSec}, {0, 2, 2 * kSec}, {0, 3, 13 * kSec}}), kScalar);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ((*out)->num_rows(), 1u);
   // Window anchored at min ts (2s): [2, 12) holds both 8s and 2s.
@@ -178,8 +186,8 @@ TEST_F(WindowTest, TimeIncrementalMatchesReEval) {
       "select k, count(*) as c, sum(v) as s, min(v) as mn, max(v) as mx "
       "from [select * from r] as w group by k order by k "
       "window range 8 seconds slide 2 seconds");
-  auto reeval = WindowExecutor::Create(q, WindowMode::kReEvaluation, {});
-  auto incr = WindowExecutor::Create(q, WindowMode::kIncremental, {});
+  auto reeval = WindowExecutor::Create(q, WindowMode::kReEvaluation, {}, kSpecialize);
+  auto incr = WindowExecutor::Create(q, WindowMode::kIncremental, {}, kSpecialize);
   ASSERT_TRUE(reeval.ok());
   ASSERT_TRUE(incr.ok()) << incr.status().ToString();
   EXPECT_STREQ((*incr)->mode_name(), "incremental");
@@ -196,8 +204,8 @@ TEST_F(WindowTest, TimeIncrementalMatchesReEval) {
                       std::max<Timestamp>(0, now - jitter)});
       now += rng.Uniform(100, 900) * 1000;  // 0.1-0.9s forward per tuple
     }
-    auto a = (*reeval)->Advance(*Batch(rows));
-    auto b = (*incr)->Advance(*Batch(rows));
+    auto a = (*reeval)->Advance(*Batch(rows), kScalar);
+    auto b = (*incr)->Advance(*Batch(rows), kScalar);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_EQ((*a)->num_rows(), (*b)->num_rows()) << "batch " << batch;
@@ -217,13 +225,13 @@ TEST_F(WindowTest, TimeIncrementalTumbling) {
   auto q = Compile(
       "select sum(v) as s from [select * from r] as w "
       "window range 2 seconds slide 2 seconds");
-  auto exec = WindowExecutor::Create(q, WindowMode::kIncremental, {});
+  auto exec = WindowExecutor::Create(q, WindowMode::kIncremental, {}, kSpecialize);
   ASSERT_TRUE(exec.ok());
   // Window [0s,2s): values 1,2. Window [2s,4s): value 3. Close with 5s.
   auto out = (*exec)->Advance(*Batch({{0, 1, 0},
                                       {0, 2, 1 * kSec},
                                       {0, 3, 2 * kSec},
-                                      {0, 4, 5 * kSec}}));
+                                      {0, 4, 5 * kSec}}), kScalar);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ((*out)->num_rows(), 2u);
   EXPECT_EQ((*out)->GetRow(0)[0], Value::Double(3));
@@ -237,18 +245,18 @@ TEST_F(WindowTest, TimeWindowsAcrossSilentGap) {
   auto q = Compile(
       "select count(*) as c from [select * from r] as w "
       "window range 4 seconds slide 4 seconds");
-  auto reeval = WindowExecutor::Create(q, WindowMode::kReEvaluation, {});
-  auto incr = WindowExecutor::Create(q, WindowMode::kIncremental, {});
+  auto reeval = WindowExecutor::Create(q, WindowMode::kReEvaluation, {}, kSpecialize);
+  auto incr = WindowExecutor::Create(q, WindowMode::kIncremental, {}, kSpecialize);
   ASSERT_TRUE(reeval.ok());
   ASSERT_TRUE(incr.ok());
   std::vector<std::array<int64_t, 3>> burst1 = {
       {0, 1, 0}, {0, 2, 1 * kSec}, {0, 3, 3 * kSec}};
   std::vector<std::array<int64_t, 3>> burst2 = {{0, 4, 21 * kSec}};
   for (auto* exec : {&*reeval, &*incr}) {
-    auto out1 = (**exec).Advance(*Batch(burst1));
+    auto out1 = (**exec).Advance(*Batch(burst1), kScalar);
     ASSERT_TRUE(out1.ok());
     EXPECT_EQ((*out1)->num_rows(), 0u);  // first window still open
-    auto out2 = (**exec).Advance(*Batch(burst2));
+    auto out2 = (**exec).Advance(*Batch(burst2), kScalar);
     ASSERT_TRUE(out2.ok());
     // Windows [0,4)=3, [4,8)=0, [8,12)=0, [12,16)=0, [16,20)=0 — five
     // closed windows; the scalar count emits one row for each.
@@ -265,11 +273,11 @@ TEST_F(WindowTest, GroupedEmptyWindowEmitsNoRows) {
       "select k, count(*) as c from [select * from r] as w group by k "
       "window range 2 seconds slide 2 seconds");
   const int64_t kSec = 1000000;
-  auto exec = WindowExecutor::Create(q, WindowMode::kIncremental, {});
+  auto exec = WindowExecutor::Create(q, WindowMode::kIncremental, {}, kSpecialize);
   ASSERT_TRUE(exec.ok());
   // One tuple at 0s, next at 5s: window [0,2) has one group row; window
   // [2,4) is empty and grouped aggregation emits nothing for it.
-  auto out = (*exec)->Advance(*Batch({{1, 1, 0}, {2, 2, 5 * kSec}}));
+  auto out = (*exec)->Advance(*Batch({{1, 1, 0}, {2, 2, 5 * kSec}}), kScalar);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ((*out)->num_rows(), 1u);
   EXPECT_EQ((*out)->GetRow(0)[0], Value::Int64(1));
@@ -277,7 +285,7 @@ TEST_F(WindowTest, GroupedEmptyWindowEmitsNoRows) {
 
 TEST_F(WindowTest, CreateRejectsNonWindowed) {
   auto q = Compile("select * from [select * from r] as w");
-  EXPECT_FALSE(WindowExecutor::Create(q, WindowMode::kAuto, {}).ok());
+  EXPECT_FALSE(WindowExecutor::Create(q, WindowMode::kAuto, {}, kSpecialize).ok());
 }
 
 // Property: incremental evaluation produces exactly the same window results
@@ -311,8 +319,8 @@ TEST_P(WindowEquivalenceTest, IncrementalMatchesReEval) {
   auto q = planner.CompileSelect(*stmt->select);
   ASSERT_TRUE(q.ok()) << q.status().ToString();
 
-  auto reeval = WindowExecutor::Create(*q, WindowMode::kReEvaluation, {});
-  auto incr = WindowExecutor::Create(*q, WindowMode::kIncremental, {});
+  auto reeval = WindowExecutor::Create(*q, WindowMode::kReEvaluation, {}, kSpecialize);
+  auto incr = WindowExecutor::Create(*q, WindowMode::kIncremental, {}, kSpecialize);
   ASSERT_TRUE(reeval.ok());
   ASSERT_TRUE(incr.ok()) << incr.status().ToString();
 
@@ -330,8 +338,8 @@ TEST_P(WindowEquivalenceTest, IncrementalMatchesReEval) {
                       .ok());
     }
     remaining -= batch;
-    auto a = (*reeval)->Advance(*t);
-    auto b = (*incr)->Advance(*t);
+    auto a = (*reeval)->Advance(*t, kScalar);
+    auto b = (*incr)->Advance(*t, kScalar);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_EQ((*a)->num_rows(), (*b)->num_rows());

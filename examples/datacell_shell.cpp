@@ -11,10 +11,12 @@
 //   datacell> \stats
 //   datacell> \quit
 //
-// With `--shards N` (N > 1) the shell fronts a ShardedEngine instead: DDL
-// fans out to every shard, stream inserts route per the partition recipes,
-// \watch places queries per their verdict, and \shards / \analyze show the
-// resulting routes and placements.
+// `--shards N` (default 1) sets how many engine shards the shell's one
+// ShardedEngine runs. With one shard every statement goes straight to that
+// engine. With more, DDL fans out to every shard, stream inserts route per
+// the partition recipes, \watch places queries per their verdict, \shards
+// shows the routes and placements, and \analyze, \stats, \metrics and
+// \profile report per shard. \trace and \serve need a single shard.
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +27,6 @@
 
 #include "adapters/csv.h"
 #include "common/string_util.h"
-#include "core/engine.h"
 #include "core/shard.h"
 #include "net/observability.h"
 
@@ -49,37 +50,38 @@ void PrintTable(const Table& t) {
   std::printf("(%zu rows)\n", t.num_rows());
 }
 
+ShardedEngineOptions ShellOptions(size_t num_shards) {
+  ShardedEngineOptions opts;
+  opts.num_shards = num_shards;
+  // The shell drives the scheduler itself after every statement, so the
+  // deterministic mode gives immediate, ordered output.
+  opts.engine.factor_common_subplans = true;
+  // Keep a bounded event timeline so \trace has something to dump.
+  opts.engine.trace_capacity = 1 << 14;
+  // Sample engine telemetry into the sys.* baskets once a second so
+  // `select * from sys.baskets as b ...` works out of the box.
+  opts.engine.monitor_tick_us = 1'000'000;
+  return opts;
+}
+
+/// Strips trailing ';' and blanks from a meta-command argument.
+std::string TrimArg(std::string arg) {
+  while (!arg.empty() && (arg.back() == ';' || arg.back() == ' ')) {
+    arg.pop_back();
+  }
+  return arg;
+}
+
 class Shell {
  public:
-  explicit Shell(size_t num_shards) {
-    // The shell drives the scheduler itself after every statement, so the
-    // deterministic mode gives immediate, ordered output.
-    EngineOptions opts;
-    opts.factor_common_subplans = true;
-    // Keep a bounded event timeline so \trace has something to dump.
-    opts.trace_capacity = 1 << 14;
-    // Sample engine telemetry into the sys.* baskets once a second so
-    // `select * from sys.baskets as b ...` works out of the box.
-    opts.monitor_tick_us = 1'000'000;
-    if (num_shards > 1) {
-      ShardedEngineOptions sopts;
-      sopts.num_shards = num_shards;
-      sopts.engine = opts;
-      sharded_ = std::make_unique<ShardedEngine>(sopts);
-    } else {
-      engine_ = std::make_unique<Engine>(opts);
-    }
-  }
+  explicit Shell(size_t num_shards) : engine_(ShellOptions(num_shards)) {}
 
   int Run() {
-    if (sharded_ != nullptr) {
-      std::printf(
-          "DataCell shell — %zu shards; end statements with ';', \\help for "
-          "help\n",
-          sharded_->num_shards());
-    } else {
-      std::printf("DataCell shell — end statements with ';', \\help for help\n");
-    }
+    std::string shards = sharded() ? std::to_string(engine_.num_shards()) +
+                                         " shards; "
+                                   : "";
+    std::printf("DataCell shell — %send statements with ';', \\help for help\n",
+                shards.c_str());
     std::string buffer;
     std::string line;
     std::printf("datacell> ");
@@ -105,14 +107,17 @@ class Shell {
   }
 
  private:
+  using QueryPlacement = ShardedEngine::QueryPlacement;
+
+  bool sharded() const { return engine_.num_shards() > 1; }
+
   void Prompt(const std::string& buffer) {
     std::printf(Trim(buffer).empty() ? "datacell> " : "......... ");
     std::fflush(stdout);
   }
 
   void Execute(const std::string& sql) {
-    auto result = sharded_ != nullptr ? sharded_->ExecuteSql(sql)
-                                      : engine_->ExecuteSql(sql);
+    auto result = engine_.ExecuteSql(sql);
     if (!result.ok()) {
       std::printf("error: %s\n", result.status().ToString().c_str());
       return;
@@ -123,11 +128,235 @@ class Shell {
       std::printf("ok\n");
     }
     // Fire any continuous queries affected by inserts.
-    if (sharded_ != nullptr) {
-      sharded_->Drain();
-    } else {
-      engine_->Drain();
+    engine_.Drain();
+  }
+
+  /// The frontend query named by `arg` (its id or name), or null.
+  const QueryPlacement* FindQuery(const std::string& arg, QueryId* id) const {
+    for (QueryId q = 0; q < engine_.num_queries(); ++q) {
+      const QueryPlacement* p = *engine_.GetPlacement(q);
+      if (p->name != arg && std::to_string(q) != arg) continue;
+      *id = q;
+      return p;
     }
+    return nullptr;
+  }
+
+  /// The registration of a placed query's instance on shard `s`.
+  const Engine::QueryInfo& Instance(size_t s, QueryId local) {
+    return **engine_.shard(s).GetQuery(local);
+  }
+
+  /// " [shard <s>]" when several shards report, "" otherwise.
+  std::string ShardTag(size_t s) const {
+    return sharded() ? " [shard " + std::to_string(s) + "]" : "";
+  }
+
+  /// \trace and \serve drive one engine; sharded parity is future work.
+  bool RefusedWhenSharded(const char* cmd) const {
+    if (sharded()) {
+      std::printf("\\%s is per-engine; not available with --shards\n", cmd);
+    }
+    return sharded();
+  }
+
+  /// \analyze: the union of the shard reports, then per query instance
+  /// (one per query; across shards, each query's first instance) its pass-3
+  /// report with the effective verdict when live state demotes it, and
+  /// where it is placed; then the pass-4 bound of every instance next to
+  /// the bytes it measured.
+  void Analyze() {
+    std::printf("%s", engine_.Analyze().ToString().c_str());
+    bool any = false;
+    for (QueryId id = 0; id < engine_.num_queries(); ++id) {
+      const QueryPlacement& p = **engine_.GetPlacement(id);
+      const auto& [s, local] = p.shard_queries.front();
+      const Engine::QueryInfo& q = Instance(s, local);
+      if (q.partition == nullptr) continue;
+      if (!any) {
+        std::printf("-- partition safety (shard fan-out) --\n");
+        any = true;
+      }
+      std::string reason;
+      analysis::PartitionVerdict effective =
+          engine_.shard(s).EffectivePartitionVerdict(q, &reason);
+      std::printf("query '%s':\n%s", q.name.c_str(),
+                  q.partition->Describe().c_str());
+      if (effective != q.partition->verdict) {
+        std::printf("  effective: %s (%s)\n",
+                    analysis::PartitionVerdictName(effective), reason.c_str());
+      }
+      if (sharded()) std::printf("  placement: %s\n", p.placement.c_str());
+    }
+    any = false;
+    for (QueryId id = 0; id < engine_.num_queries(); ++id) {
+      const QueryPlacement& p = **engine_.GetPlacement(id);
+      for (const auto& [s, local] : p.shard_queries) {
+        const Engine::QueryInfo& q = Instance(s, local);
+        if (q.state == nullptr) continue;
+        if (!any) {
+          std::printf("-- state bounds (pass 4) --\n");
+          any = true;
+        }
+        std::printf("query '%s'%s:\n%s", q.name.c_str(), ShardTag(s).c_str(),
+                    q.state->Describe().c_str());
+        std::printf("  measured: %zu B (high water %zu B)\n",
+                    q.factory->state_bytes(),
+                    q.factory->state_bytes_high_water());
+      }
+    }
+  }
+
+  void Profile(const std::string& arg) {
+    if (arg == "on" || arg == "off") {
+      for (size_t s = 0; s < engine_.num_shards(); ++s) {
+        engine_.shard(s).SetProfiling(arg == "on");
+      }
+      std::printf("profiling %s\n", arg.c_str());
+      return;
+    }
+    if (arg.empty()) {
+      std::printf("usage: \\profile on|off  or  \\profile <id|name>\n");
+      return;
+    }
+    QueryId id = 0;
+    const QueryPlacement* p = FindQuery(arg, &id);
+    if (p == nullptr) {
+      std::printf("no registered query '%s'\n", arg.c_str());
+      return;
+    }
+    for (const auto& [s, local] : p->shard_queries) {
+      std::printf("query %zu (%s)%s: %s\n", id, p->name.c_str(),
+                  ShardTag(s).c_str(), Instance(s, local).sql.c_str());
+      auto report = engine_.shard(s).ProfileReport(local);
+      if (report.ok()) {
+        std::printf("%s", report->c_str());
+      } else {
+        std::printf("error: %s\n", report.status().ToString().c_str());
+      }
+    }
+    if (!engine_.shard(0).profiling()) {
+      std::printf("(profiling is off; \\profile on to collect per-step "
+                  "counters)\n");
+    }
+  }
+
+  void Trace(const std::string& arg) {
+    if (RefusedWhenSharded("trace")) return;
+    Engine& engine = engine_.shard(0);
+    if (engine.trace() == nullptr) {
+      std::printf("tracing is disabled (rebuild with -DDATACELL_TRACE=ON to enable)\n");
+      return;
+    }
+    if (arg == "on" || arg == "off") {
+      engine.SetTraceEnabled(arg == "on");
+      std::printf("tracing %s\n", arg.c_str());
+      return;
+    }
+    std::string path = arg;
+    if (StartsWith(arg, "dump")) path = std::string(Trim(arg.substr(4)));
+    if (path.empty()) {
+      std::printf("usage: \\trace on|off  or  \\trace dump <file>  (open "
+                  "in chrome://tracing or ui.perfetto.dev)\n");
+      return;
+    }
+    std::ofstream out(path, std::ios::trunc);
+    if (!out) {
+      std::printf("error: cannot open '%s'\n", path.c_str());
+      return;
+    }
+    out << engine.TraceJson();
+    std::printf("wrote %zu trace events to %s\n", engine.trace()->size(),
+                path.c_str());
+  }
+
+  void Serve(const std::string& arg) {
+    if (RefusedWhenSharded("serve")) return;
+    if (arg == "stop") {
+      if (observe_ != nullptr) {
+        observe_->Stop();
+        observe_.reset();
+        std::printf("observability server stopped\n");
+      } else {
+        std::printf("observability server is not running\n");
+      }
+      return;
+    }
+    if (observe_ != nullptr && observe_->running()) {
+      std::printf("already serving on http://127.0.0.1:%u/\n",
+                  observe_->port());
+      return;
+    }
+    uint16_t port = 0;
+    if (!arg.empty()) {
+      long parsed = std::strtol(arg.c_str(), nullptr, 10);
+      if (parsed < 0 || parsed > 65535) {
+        std::printf("error: bad port '%s'\n", arg.c_str());
+        return;
+      }
+      port = static_cast<uint16_t>(parsed);
+    }
+    observe_ = std::make_unique<ObservabilityServer>(&engine_.shard(0));
+    if (auto st = observe_->Start(port); !st.ok()) {
+      std::printf("error: %s\n", st.ToString().c_str());
+      observe_.reset();
+      return;
+    }
+    std::printf("serving http://127.0.0.1:%u/  (/metrics /trace /queries "
+                "/healthz; \\serve stop to stop)\n",
+                observe_->port());
+  }
+
+  void Explain(const std::string& arg) {
+    // A registered query id or name explains the *chosen* execution
+    // pipeline (specialized step list, or interpreter + fallback reason);
+    // anything else is compiled ad hoc and shown as its MAL plan.
+    QueryId id = 0;
+    if (const QueryPlacement* p = FindQuery(arg, &id)) {
+      const auto& [s, local] = p->shard_queries.front();
+      const Engine::QueryInfo& q = Instance(s, local);
+      std::printf("query %zu (%s): %s\n", id, p->name.c_str(), q.sql.c_str());
+      if (sharded()) std::printf("placement: %s\n", p->placement.c_str());
+      std::printf("%s", q.factory->PipelineDescription().c_str());
+      std::printf("\n%s", q.factory->ExplainPlan().c_str());
+      return;
+    }
+    // Shard catalogs stay identical under DDL fan-out, so shard 0 stands
+    // for all.
+    auto mal = engine_.shard(0).ExplainSql(arg);
+    if (mal.ok()) {
+      std::printf("%s", mal->c_str());
+    } else {
+      std::printf("error: %s\n", mal.status().ToString().c_str());
+    }
+  }
+
+  void Watch(const std::string& rest) {
+    std::istringstream in(rest);
+    std::string name;
+    in >> name;
+    std::string sql;
+    std::getline(in, sql);
+    auto q = engine_.SubmitContinuousQuery(name, TrimArg(sql));
+    if (!q.ok()) {
+      std::printf("error: %s\n", q.status().ToString().c_str());
+      return;
+    }
+    auto printer = std::make_shared<CallbackSink>(
+        [name](const Table& batch, Timestamp) {
+          for (size_t i = 0; i < batch.num_rows(); ++i) {
+            std::printf("[%s] %s\n", name.c_str(),
+                        FormatCsvRow(batch.GetRow(i)).c_str());
+          }
+        });
+    if (auto st = engine_.Subscribe(*q, printer); !st.ok()) {
+      std::printf("error: %s\n", st.ToString().c_str());
+      return;
+    }
+    std::string where =
+        sharded() ? " (" + (*engine_.GetPlacement(*q))->placement + ")" : "";
+    std::printf("continuous query '%s' registered%s\n", name.c_str(),
+                where.c_str());
   }
 
   bool HandleMeta(const std::string& cmd) {
@@ -144,244 +373,79 @@ class Shell {
           "                         pipeline (specialized steps or\n"
           "                         interpreter fallback reason) and plan\n"
           "  \\analyze               static analysis of the registered net "
-          "(dataflow lints;\n"
-          "                         with --shards also the query placements)\n"
+          "(dataflow lints,\n"
+          "                         partition verdicts, state bounds; with\n"
+          "                         --shards N > 1 per shard, plus each "
+          "placement)\n"
           "  \\shards                per-shard report: routes, placements, "
           "counters\n"
-          "  \\stats                 engine statistics\n"
+          "  \\stats                 engine statistics (per shard)\n"
           "  \\metrics [prefix]      Prometheus text exposition (optionally "
           "only\n"
           "                         series whose name starts with prefix)\n"
           "  \\profile on|off        toggle the per-step pipeline profiler\n"
           "  \\profile <id|name>     per-step profile of a registered query\n"
+          "                         (one report per shard instance)\n"
           "  \\trace on|off          toggle event timeline recording\n"
           "  \\trace dump <file>     dump the event timeline as Chrome "
           "trace JSON\n"
           "  \\serve [port]          start the HTTP observability endpoint\n"
           "                         (/metrics /trace /queries /healthz)\n"
+          "                         \\trace and \\serve need --shards 1\n"
           "  \\tables                list catalog relations\n"
           "  \\dump                  catalog as CREATE statements\n"
           "  \\quit                  exit\n");
       return true;
     }
     if (StartsWith(cmd, "\\shards")) {
-      if (sharded_ != nullptr) {
-        std::printf("%s", sharded_->ShardsReport().c_str());
-      } else {
-        std::printf("not sharded (restart with --shards N)\n");
-      }
+      std::printf("%s", engine_.ShardsReport().c_str());
       return true;
     }
     if (StartsWith(cmd, "\\analyze")) {
-      if (sharded_ != nullptr) {
-        // Shard nets can diverge — pinned queries live on one shard only and
-        // state bounds differ with placement — so every shard reports, each
-        // under its own label.
-        for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-          std::printf("-- shard %zu --\n%s", s,
-                      sharded_->shard(s).Analyze().ToString().c_str());
-        }
-        if (sharded_->num_queries() > 0) {
-          std::printf("-- shard placement --\n");
-        }
-        for (size_t id = 0; id < sharded_->num_queries(); ++id) {
-          auto p = sharded_->GetPlacement(id);
-          if (!p.ok()) continue;
-          std::printf("query '%s': %s\n  placement: %s\n",
-                      (*p)->name.c_str(),
-                      datacell::analysis::PartitionVerdictName((*p)->verdict),
-                      (*p)->placement.c_str());
-        }
-        return true;
-      }
-      std::printf("%s", engine_->Analyze().ToString().c_str());
-      // Pass-3 partition verdicts, one block per live query: the static
-      // report plus the engine-level effective verdict (live overrides).
-      bool any = false;
-      for (size_t id = 0; id < engine_->num_queries(); ++id) {
-        auto q = engine_->GetQuery(id);
-        if (!q.ok() || (*q)->removed || (*q)->partition == nullptr) continue;
-        if (!any) {
-          std::printf("-- partition safety (shard fan-out) --\n");
-          any = true;
-        }
-        std::string reason;
-        datacell::analysis::PartitionVerdict effective =
-            engine_->EffectivePartitionVerdict(**q, &reason);
-        std::printf("query '%s':\n%s", (*q)->name.c_str(),
-                    (*q)->partition->Describe().c_str());
-        if (effective != (*q)->partition->verdict) {
-          std::printf("  effective: %s (%s)\n",
-                      datacell::analysis::PartitionVerdictName(effective),
-                      reason.c_str());
-        }
-      }
-      // Pass-4 state bounds, one block per live query: the static bound and
-      // the factory's measured occupancy it covers.
-      any = false;
-      for (size_t id = 0; id < engine_->num_queries(); ++id) {
-        auto q = engine_->GetQuery(id);
-        if (!q.ok() || (*q)->removed || (*q)->state == nullptr) continue;
-        if (!any) {
-          std::printf("-- state bounds (pass 4) --\n");
-          any = true;
-        }
-        std::printf("query '%s':\n%s", (*q)->name.c_str(),
-                    (*q)->state->Describe().c_str());
-        if ((*q)->factory != nullptr) {
-          std::printf("  measured: %zu B (high water %zu B)\n",
-                      (*q)->factory->state_bytes(),
-                      (*q)->factory->state_bytes_high_water());
-        }
-      }
+      Analyze();
       return true;
     }
     if (StartsWith(cmd, "\\stats")) {
-      if (sharded_ != nullptr) {
-        std::printf("%s", sharded_->ShardsReport().c_str());
-      } else {
-        std::printf("%s", engine_->StatsReport().c_str());
+      for (size_t s = 0; s < engine_.num_shards(); ++s) {
+        if (sharded()) std::printf("# shard %zu\n", s);
+        std::printf("%s", engine_.shard(s).StatsReport().c_str());
       }
       return true;
     }
     if (StartsWith(cmd, "\\metrics")) {
       std::string prefix(Trim(cmd.substr(8)));
-      if (sharded_ != nullptr) {
-        // Frontend registry (router + merge counters), then each shard's.
-        std::printf("%s", sharded_->metrics().PrometheusText(prefix).c_str());
-        for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-          std::printf("# shard %zu\n%s", i,
-                      sharded_->shard(i).MetricsText(prefix).c_str());
-        }
-      } else {
-        std::printf("%s", engine_->MetricsText(prefix).c_str());
+      // Across shards: the frontend registry (router and merge counters),
+      // then each shard's.
+      if (sharded()) {
+        std::printf("%s", engine_.metrics().PrometheusText(prefix).c_str());
+      }
+      for (size_t s = 0; s < engine_.num_shards(); ++s) {
+        if (sharded()) std::printf("# shard %zu\n", s);
+        std::printf("%s", engine_.shard(s).MetricsText(prefix).c_str());
       }
       return true;
     }
     if (StartsWith(cmd, "\\profile")) {
-      if (sharded_ != nullptr) {
-        std::printf("\\profile is per-engine; not available with --shards\n");
-        return true;
-      }
-      std::string arg(Trim(cmd.substr(8)));
-      while (!arg.empty() && (arg.back() == ';' || arg.back() == ' ')) {
-        arg.pop_back();
-      }
-      if (arg == "on" || arg == "off") {
-        engine_->SetProfiling(arg == "on");
-        std::printf("profiling %s\n", arg.c_str());
-        return true;
-      }
-      if (arg.empty()) {
-        std::printf("usage: \\profile on|off  or  \\profile <id|name>\n");
-        return true;
-      }
-      for (size_t id = 0; id < engine_->num_queries(); ++id) {
-        auto q = engine_->GetQuery(static_cast<datacell::QueryId>(id));
-        if (!q.ok() || (*q)->removed) continue;
-        if ((*q)->name != arg && std::to_string(id) != arg) continue;
-        std::printf("query %zu (%s): %s\n", id, (*q)->name.c_str(),
-                    (*q)->sql.c_str());
-        auto report = engine_->ProfileReport(static_cast<datacell::QueryId>(id));
-        if (report.ok()) {
-          std::printf("%s", report->c_str());
-        } else {
-          std::printf("error: %s\n", report.status().ToString().c_str());
-        }
-        if (!engine_->profiling()) {
-          std::printf("(profiling is off; \\profile on to collect per-step "
-                      "counters)\n");
-        }
-        return true;
-      }
-      std::printf("no registered query '%s'\n", arg.c_str());
+      Profile(TrimArg(std::string(Trim(cmd.substr(8)))));
       return true;
     }
     if (StartsWith(cmd, "\\trace")) {
-      if (sharded_ != nullptr) {
-        std::printf("\\trace is per-engine; not available with --shards\n");
-        return true;
-      }
-      std::string arg(Trim(cmd.substr(6)));
-      if (engine_->trace() == nullptr) {
-        std::printf("tracing is disabled (rebuild with -DDATACELL_TRACE=ON to enable)\n");
-        return true;
-      }
-      if (arg == "on" || arg == "off") {
-        engine_->SetTraceEnabled(arg == "on");
-        std::printf("tracing %s\n", arg.c_str());
-        return true;
-      }
-      std::string path = arg;
-      if (StartsWith(arg, "dump")) path = std::string(Trim(arg.substr(4)));
-      if (path.empty()) {
-        std::printf("usage: \\trace on|off  or  \\trace dump <file>  (open "
-                    "in chrome://tracing or ui.perfetto.dev)\n");
-        return true;
-      }
-      std::ofstream out(path, std::ios::trunc);
-      if (!out) {
-        std::printf("error: cannot open '%s'\n", path.c_str());
-        return true;
-      }
-      out << engine_->TraceJson();
-      std::printf("wrote %zu trace events to %s\n", engine_->trace()->size(),
-                  path.c_str());
+      Trace(std::string(Trim(cmd.substr(6))));
       return true;
     }
     if (StartsWith(cmd, "\\serve")) {
-      if (sharded_ != nullptr) {
-        std::printf("\\serve is per-engine; not available with --shards\n");
-        return true;
-      }
-      std::string arg(Trim(cmd.substr(6)));
-      if (arg == "stop") {
-        if (observe_ != nullptr) {
-          observe_->Stop();
-          observe_.reset();
-          std::printf("observability server stopped\n");
-        } else {
-          std::printf("observability server is not running\n");
-        }
-        return true;
-      }
-      if (observe_ != nullptr && observe_->running()) {
-        std::printf("already serving on http://127.0.0.1:%u/\n",
-                    observe_->port());
-        return true;
-      }
-      uint16_t port = 0;
-      if (!arg.empty()) {
-        long parsed = std::strtol(arg.c_str(), nullptr, 10);
-        if (parsed < 0 || parsed > 65535) {
-          std::printf("error: bad port '%s'\n", arg.c_str());
-          return true;
-        }
-        port = static_cast<uint16_t>(parsed);
-      }
-      observe_ = std::make_unique<ObservabilityServer>(engine_.get());
-      if (auto st = observe_->Start(port); !st.ok()) {
-        std::printf("error: %s\n", st.ToString().c_str());
-        observe_.reset();
-        return true;
-      }
-      std::printf("serving http://127.0.0.1:%u/  (/metrics /trace /queries "
-                  "/healthz; \\serve stop to stop)\n",
-                  observe_->port());
+      Serve(std::string(Trim(cmd.substr(6))));
       return true;
     }
     if (StartsWith(cmd, "\\dump")) {
-      // Shard catalogs stay identical under DDL fan-out, so shard 0 stands
-      // for all in sharded mode.
-      Engine& cat = sharded_ != nullptr ? sharded_->shard(0) : *engine_;
-      std::printf("%s", cat.DumpCatalogSql().c_str());
+      std::printf("%s", engine_.shard(0).DumpCatalogSql().c_str());
       return true;
     }
     if (StartsWith(cmd, "\\tables")) {
-      Engine& cat = sharded_ != nullptr ? sharded_->shard(0) : *engine_;
-      for (const std::string& name : cat.catalog().Names()) {
-        auto kind = cat.catalog().KindOf(name);
-        auto table = cat.catalog().Get(name);
+      Catalog& catalog = engine_.shard(0).catalog();
+      for (const std::string& name : catalog.Names()) {
+        auto kind = catalog.KindOf(name);
+        auto table = catalog.Get(name);
         std::printf("  %-24s %s(%s)\n", name.c_str(),
                     kind.ok() && *kind == RelationKind::kBasket ? "basket "
                                                                 : "table  ",
@@ -390,96 +454,18 @@ class Shell {
       return true;
     }
     if (StartsWith(cmd, "\\explain ")) {
-      std::string arg = cmd.substr(9);
-      while (!arg.empty() && (arg.back() == ';' || arg.back() == ' ')) {
-        arg.pop_back();
-      }
-      // A registered query id or name explains the *chosen* execution
-      // pipeline (specialized step list, or interpreter + fallback reason);
-      // anything else is compiled ad hoc and shown as its MAL plan.
-      if (sharded_ != nullptr) {
-        for (size_t id = 0; id < sharded_->num_queries(); ++id) {
-          auto p = sharded_->GetPlacement(id);
-          if (!p.ok()) continue;
-          if ((*p)->name != arg && std::to_string(id) != arg) continue;
-          std::printf("query %zu (%s): %s\n", id, (*p)->name.c_str(),
-                      (*p)->placement.c_str());
-          if ((*p)->report != nullptr) {
-            std::printf("%s", (*p)->report->Describe().c_str());
-          }
-          return true;
-        }
-        auto mal = sharded_->shard(0).ExplainSql(arg);
-        if (mal.ok()) {
-          std::printf("%s", mal->c_str());
-        } else {
-          std::printf("error: %s\n", mal.status().ToString().c_str());
-        }
-        return true;
-      }
-      for (size_t id = 0; id < engine_->num_queries(); ++id) {
-        auto q = engine_->GetQuery(static_cast<datacell::QueryId>(id));
-        if (!q.ok() || (*q)->removed) continue;
-        if ((*q)->name != arg && std::to_string(id) != arg) continue;
-        std::printf("query %zu (%s): %s\n", id, (*q)->name.c_str(),
-                    (*q)->sql.c_str());
-        std::printf("%s", (*q)->factory->PipelineDescription().c_str());
-        std::printf("\n%s", (*q)->factory->ExplainPlan().c_str());
-        return true;
-      }
-      auto mal = engine_->ExplainSql(arg);
-      if (mal.ok()) {
-        std::printf("%s", mal->c_str());
-      } else {
-        std::printf("error: %s\n", mal.status().ToString().c_str());
-      }
+      Explain(TrimArg(cmd.substr(9)));
       return true;
     }
     if (StartsWith(cmd, "\\watch ")) {
-      std::istringstream in(cmd.substr(7));
-      std::string name;
-      in >> name;
-      std::string sql;
-      std::getline(in, sql);
-      // Strip a trailing ';'.
-      while (!sql.empty() && (sql.back() == ';' || sql.back() == ' ')) {
-        sql.pop_back();
-      }
-      auto q = sharded_ != nullptr
-                   ? sharded_->SubmitContinuousQuery(name, sql)
-                   : engine_->SubmitContinuousQuery(name, sql);
-      if (!q.ok()) {
-        std::printf("error: %s\n", q.status().ToString().c_str());
-        return true;
-      }
-      auto printer = std::make_shared<CallbackSink>(
-          [name](const Table& batch, Timestamp) {
-            for (size_t i = 0; i < batch.num_rows(); ++i) {
-              std::printf("[%s] %s\n", name.c_str(),
-                          FormatCsvRow(batch.GetRow(i)).c_str());
-            }
-          });
-      auto st = sharded_ != nullptr ? sharded_->Subscribe(*q, printer)
-                                    : engine_->Subscribe(*q, printer);
-      if (!st.ok()) {
-        std::printf("error: %s\n", st.ToString().c_str());
-        return true;
-      }
-      if (sharded_ != nullptr) {
-        auto p = sharded_->GetPlacement(*q);
-        std::printf("continuous query '%s' registered (%s)\n", name.c_str(),
-                    p.ok() ? (*p)->placement.c_str() : "?");
-      } else {
-        std::printf("continuous query '%s' registered\n", name.c_str());
-      }
+      Watch(cmd.substr(7));
       return true;
     }
     std::printf("unknown command %s (try \\help)\n", cmd.c_str());
     return true;
   }
 
-  std::unique_ptr<Engine> engine_;          // --shards 1 (default)
-  std::unique_ptr<ShardedEngine> sharded_;  // --shards N, N > 1
+  ShardedEngine engine_;
   std::unique_ptr<ObservabilityServer> observe_;
 };
 

@@ -12,25 +12,6 @@
 
 namespace datacell {
 
-namespace {
-
-/// Evaluates a constant INSERT expression (literals, optionally negated).
-Result<Value> EvalConstAst(const sql::AstExpr& e) {
-  using sql::AstExprKind;
-  using sql::AstUnaryOp;
-  if (e.kind == AstExprKind::kLiteral) return e.literal;
-  if (e.kind == AstExprKind::kUnary && e.unary_op == AstUnaryOp::kNeg) {
-    DC_ASSIGN_OR_RETURN(Value v, EvalConstAst(*e.children[0]));
-    if (v.is_int64()) return Value::Int64(-v.int64_value());
-    if (v.is_double()) return Value::Double(-v.double_value());
-    return Status::TypeError("cannot negate non-numeric literal");
-  }
-  return Status::InvalidArgument(
-      "INSERT values must be literals: " + e.ToString());
-}
-
-}  // namespace
-
 Engine::Engine(EngineOptions options)
     : options_(options),
       scheduler_(options.scheduling_policy),
@@ -835,44 +816,16 @@ Status Engine::ExecuteCreate(const sql::CreateStmt& stmt) {
 }
 
 Status Engine::ExecuteInsert(const sql::InsertStmt& stmt) {
+  // Streams take the rows as one batch, so an INSERT is all or nothing.
+  if (const StreamInfo* stream = FindStream(stmt.table)) {
+    DC_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                        sql::InsertRows(stmt, stream->user_schema));
+    return IngestBatch(stmt.table, rows);
+  }
   DC_ASSIGN_OR_RETURN(TablePtr table, catalog_.Get(stmt.table));
-  DC_ASSIGN_OR_RETURN(RelationKind kind, catalog_.KindOf(stmt.table));
-  bool is_basket = kind == RelationKind::kBasket;
-  // Effective schema the user addresses (without ts for baskets).
-  size_t user_cols =
-      is_basket ? table->num_columns() - 1 : table->num_columns();
-
-  // Optional column list: build the value permutation.
-  std::vector<size_t> positions;
-  if (!stmt.columns.empty()) {
-    for (const std::string& col : stmt.columns) {
-      auto idx = table->schema().IndexOf(col);
-      if (!idx.has_value() || *idx >= user_cols) {
-        return Status::NotFound("unknown column '" + col + "' in INSERT");
-      }
-      positions.push_back(*idx);
-    }
-  }
-
-  for (const auto& ast_row : stmt.rows) {
-    size_t expected = stmt.columns.empty() ? user_cols : stmt.columns.size();
-    if (ast_row.size() != expected) {
-      return Status::InvalidArgument("INSERT row arity mismatch");
-    }
-    Row row(user_cols, Value::Null());
-    for (size_t i = 0; i < ast_row.size(); ++i) {
-      DC_ASSIGN_OR_RETURN(Value v, EvalConstAst(*ast_row[i]));
-      size_t pos = stmt.columns.empty() ? i : positions[i];
-      // Integer literals inserted into double columns widen here so the
-      // type check downstream passes.
-      row[pos] = std::move(v);
-    }
-    if (is_basket) {
-      DC_RETURN_NOT_OK(IngestBatch(stmt.table, {row}));
-    } else {
-      DC_RETURN_NOT_OK(table->AppendRow(row));
-    }
-  }
+  DC_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                      sql::InsertRows(stmt, table->schema()));
+  for (const Row& row : rows) DC_RETURN_NOT_OK(table->AppendRow(row));
   return Status::OK();
 }
 
@@ -906,6 +859,10 @@ Result<TablePtr> Engine::ExecuteSelect(const sql::SelectStmt& stmt) {
 
 Result<TablePtr> Engine::ExecuteSql(const std::string& sql) {
   DC_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
+  return ExecuteStatement(stmt);
+}
+
+Result<TablePtr> Engine::ExecuteStatement(const sql::Statement& stmt) {
   auto empty = [] {
     return std::make_shared<Table>("", Schema{});
   };
@@ -1016,7 +973,8 @@ void Engine::RefreshPulledMetrics() const {
   metrics_.GetGauge("datacell_shardable_queries")->Set(shardable);
   // Pass-4 state bounds vs measured occupancy, per query: the static bound
   // (-1 = unbounded, 0 = symbolic-only) next to the factory's live
-  // accounting so a gauge scrape can cross-check bound soundness.
+  // accounting so a gauge scrape can cross-check bound soundness; and the
+  // tuples a time window dropped as too late to join any live window.
   for (const QueryInfo& q : queries_) {
     if (q.removed || q.factory == nullptr) continue;
     std::string qname = ToLower(q.name);
@@ -1035,6 +993,8 @@ void Engine::RefreshPulledMetrics() const {
     metrics_
         .GetGauge("datacell_query_state_high_water_bytes", {{"query", qname}})
         ->Set(static_cast<int64_t>(q.factory->state_bytes_high_water()));
+    metrics_.GetGauge("datacell_query_late_dropped_tuples", {{"query", qname}})
+        ->Set(q.factory->window_late_dropped());
   }
   metrics_.GetCounter("datacell_pool_hits_total")
       ->Set(static_cast<int64_t>(batch_pool_->hits()));
@@ -1203,35 +1163,9 @@ Result<TablePtr> Engine::ExecuteScript(const std::string& script) {
   DC_ASSIGN_OR_RETURN(std::vector<sql::Statement> statements,
                       sql::ParseScript(script));
   TablePtr last = std::make_shared<Table>("", Schema{});
-  for (size_t i = 0; i < statements.size(); ++i) {
-    // Re-render is not available; dispatch the parsed statement through the
-    // same paths ExecuteSql uses.
-    sql::Statement& stmt = statements[i];
-    switch (stmt.kind) {
-      case sql::Statement::Kind::kSelect: {
-        DC_ASSIGN_OR_RETURN(last, ExecuteSelect(*stmt.select));
-        break;
-      }
-      case sql::Statement::Kind::kCreate:
-        DC_RETURN_NOT_OK(ExecuteCreate(*stmt.create));
-        break;
-      case sql::Statement::Kind::kInsert:
-        DC_RETURN_NOT_OK(ExecuteInsert(*stmt.insert));
-        break;
-      case sql::Statement::Kind::kDrop: {
-        const std::string key = ToLower(stmt.drop->name);
-        if (streams_.count(key) > 0) {
-          if (streams_[key].has_consumers) {
-            return Status::FailedPrecondition(
-                "cannot drop stream '" + stmt.drop->name +
-                "' with active continuous queries");
-          }
-          streams_.erase(key);
-        }
-        DC_RETURN_NOT_OK(catalog_.Drop(stmt.drop->name));
-        break;
-      }
-    }
+  for (const sql::Statement& stmt : statements) {
+    DC_ASSIGN_OR_RETURN(TablePtr result, ExecuteStatement(stmt));
+    if (stmt.kind == sql::Statement::Kind::kSelect) last = std::move(result);
   }
   return last;
 }

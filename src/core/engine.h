@@ -169,6 +169,8 @@ class Engine {
   /// Executes a ';'-separated script of statements; stops at the first
   /// error. Returns the result of the last SELECT (or an empty table).
   Result<TablePtr> ExecuteScript(const std::string& script);
+  /// Executes one parsed statement, as ExecuteSql does after parsing.
+  Result<TablePtr> ExecuteStatement(const sql::Statement& stmt);
 
   /// Registers a continuous query under `name`. Creates the factory, an
   /// output basket `<name>_out`, and an emitter, wires them into the

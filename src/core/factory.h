@@ -151,6 +151,11 @@ class Factory final : public Transition {
   size_t state_bytes_high_water() const {
     return state_high_water_.load(std::memory_order_relaxed);
   }
+  /// Tuples the window executor dropped as older than every live window
+  /// (0 for unwindowed queries).
+  int64_t window_late_dropped() const {
+    return window_ == nullptr ? 0 : window_->late_dropped();
+  }
   ProcessingStrategy strategy() const { return options_.strategy; }
   /// "none", "reeval" or "incremental".
   const char* window_mode_name() const {

@@ -13,65 +13,6 @@ namespace datacell {
 
 namespace {
 
-/// Evaluates a constant INSERT expression (literals, optionally negated).
-/// Mirrors the engine's insert path; the router must materialise the rows
-/// itself to know where they go.
-Result<Value> EvalConstInsert(const sql::AstExpr& e) {
-  using sql::AstExprKind;
-  using sql::AstUnaryOp;
-  if (e.kind == AstExprKind::kLiteral) return e.literal;
-  if (e.kind == AstExprKind::kUnary && e.unary_op == AstUnaryOp::kNeg) {
-    DC_ASSIGN_OR_RETURN(Value v, EvalConstInsert(*e.children[0]));
-    if (v.is_int64()) return Value::Int64(-v.int64_value());
-    if (v.is_double()) return Value::Double(-v.double_value());
-    return Status::TypeError("cannot negate non-numeric literal");
-  }
-  return Status::InvalidArgument(
-      "INSERT values must be literals: " + e.ToString());
-}
-
-/// Splits a script into statements on top-level ';', preserving the original
-/// text of each (unlike sql::ParseScript, which keeps only the parse trees —
-/// the frontend fans the raw text out to every shard).
-std::vector<std::string> SplitStatements(const std::string& script) {
-  std::vector<std::string> out;
-  std::string cur;
-  bool in_string = false;
-  bool in_comment = false;
-  for (size_t i = 0; i < script.size(); ++i) {
-    char ch = script[i];
-    if (in_comment) {
-      if (ch == '\n') in_comment = false;
-      cur += ch;
-      continue;
-    }
-    if (in_string) {
-      if (ch == '\'') in_string = false;
-      cur += ch;
-      continue;
-    }
-    if (ch == '\'') {
-      in_string = true;
-    } else if (ch == '-' && i + 1 < script.size() && script[i + 1] == '-') {
-      in_comment = true;
-    } else if (ch == ';') {
-      out.push_back(cur);
-      cur.clear();
-      continue;
-    }
-    cur += ch;
-  }
-  out.push_back(cur);
-  return out;
-}
-
-bool IsBlank(const std::string& s) {
-  for (char ch : s) {
-    if (!std::isspace(static_cast<unsigned char>(ch))) return false;
-  }
-  return true;
-}
-
 /// Shard-side egress of a merged query: appends every emitted partial batch
 /// into the frontend union basket. Emitters call OnBatch from shard worker
 /// threads; the basket's monitor serialises the appends.
@@ -295,6 +236,7 @@ Status ShardedEngine::CreateStream(const std::string& name,
       DC_RETURN_NOT_OK(shard->SetStreamPartitionKey(name, partition_key));
     }
   }
+  if (direct() != nullptr) return Status::OK();
   return RegisterRoute(name, user_schema, partition_key);
 }
 
@@ -432,6 +374,7 @@ Status ShardedEngine::Ingest(const std::string& name, const Row& values) {
 
 Status ShardedEngine::IngestBatch(const std::string& name,
                                   const std::vector<Row>& rows) {
+  if (Engine* e = direct()) return e->IngestBatch(name, rows);
   ColumnBatch batch;
   {
     std::lock_guard<std::mutex> lock(routes_mu_);
@@ -449,6 +392,7 @@ Status ShardedEngine::IngestBatch(const std::string& name,
 
 Status ShardedEngine::IngestColumns(const std::string& name,
                                     ColumnBatch&& batch) {
+  if (Engine* e = direct()) return e->IngestColumns(name, std::move(batch));
   std::lock_guard<std::mutex> lock(routes_mu_);
   RouteState* r = FindRoute(name);
   if (r == nullptr) {
@@ -457,11 +401,8 @@ Status ShardedEngine::IngestColumns(const std::string& name,
   const size_t rows = batch.num_rows();
   if (rows == 0) return Status::OK();
   const size_t n = shards_.size();
-  if (n == 1 || r->route.kind == RouteKind::kSingle) {
-    const size_t home =
-        (n == 1 || r->route.kind != RouteKind::kSingle)
-            ? 0
-            : static_cast<size_t>(r->route.home_shard);
+  if (r->route.kind == RouteKind::kSingle) {
+    const auto home = static_cast<size_t>(r->route.home_shard);
     RoutedCounter(home)->Inc(static_cast<int64_t>(rows));
     return shards_[home]->IngestColumns(name, std::move(batch));
   }
@@ -522,21 +463,37 @@ Status ShardedEngine::IngestColumns(const std::string& name,
 // SQL entry points
 // ---------------------------------------------------------------------------
 
-Status ShardedEngine::FanOut(const std::string& sql) {
+Status ShardedEngine::FanOut(const sql::Statement& stmt) {
   for (auto& shard : shards_) {
-    DC_RETURN_NOT_OK(shard->ExecuteSql(sql).status());
+    DC_RETURN_NOT_OK(shard->ExecuteStatement(stmt).status());
   }
   return Status::OK();
 }
 
 Result<TablePtr> ShardedEngine::ExecuteSql(const std::string& sql) {
   DC_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
+  return ExecuteStatement(stmt);
+}
+
+Result<TablePtr> ShardedEngine::ExecuteScript(const std::string& script) {
+  DC_ASSIGN_OR_RETURN(std::vector<sql::Statement> statements,
+                      sql::ParseScript(script));
+  TablePtr last = std::make_shared<Table>("", Schema{});
+  for (const sql::Statement& stmt : statements) {
+    DC_ASSIGN_OR_RETURN(TablePtr result, ExecuteStatement(stmt));
+    if (stmt.kind == sql::Statement::Kind::kSelect) last = std::move(result);
+  }
+  return last;
+}
+
+Result<TablePtr> ShardedEngine::ExecuteStatement(const sql::Statement& stmt) {
+  if (Engine* e = direct()) return e->ExecuteStatement(stmt);
   auto empty = [] { return std::make_shared<Table>("", Schema{}); };
   switch (stmt.kind) {
     case sql::Statement::Kind::kSelect:
       return ExecuteGatherSelect(*stmt.select);
     case sql::Statement::Kind::kCreate: {
-      DC_RETURN_NOT_OK(FanOut(sql));
+      DC_RETURN_NOT_OK(FanOut(stmt));
       if (stmt.create->is_basket) {
         Schema schema;
         for (const sql::ColumnDef& def : stmt.create->columns) {
@@ -548,10 +505,10 @@ Result<TablePtr> ShardedEngine::ExecuteSql(const std::string& sql) {
       return empty();
     }
     case sql::Statement::Kind::kInsert:
-      DC_RETURN_NOT_OK(ExecuteInsertRouted(sql, *stmt.insert));
+      DC_RETURN_NOT_OK(ExecuteInsertRouted(stmt));
       return empty();
     case sql::Statement::Kind::kDrop: {
-      DC_RETURN_NOT_OK(FanOut(sql));
+      DC_RETURN_NOT_OK(FanOut(stmt));
       std::lock_guard<std::mutex> lock(routes_mu_);
       routes_.erase(ToLower(stmt.drop->name));
       internal_.erase(ToLower(stmt.drop->name));
@@ -561,60 +518,26 @@ Result<TablePtr> ShardedEngine::ExecuteSql(const std::string& sql) {
   return Status::Internal("unhandled statement kind");
 }
 
-Result<TablePtr> ShardedEngine::ExecuteScript(const std::string& script) {
-  TablePtr last = std::make_shared<Table>("", Schema{});
-  for (const std::string& piece : SplitStatements(script)) {
-    if (IsBlank(piece)) continue;
-    DC_ASSIGN_OR_RETURN(last, ExecuteSql(piece));
-  }
-  return last;
-}
-
-Status ShardedEngine::ExecuteInsertRouted(const std::string& sql,
-                                          const sql::InsertStmt& stmt) {
+Status ShardedEngine::ExecuteInsertRouted(const sql::Statement& stmt) {
+  const sql::InsertStmt& insert = *stmt.insert;
   Schema user;
   {
     std::lock_guard<std::mutex> lock(routes_mu_);
-    RouteState* r = FindRoute(stmt.table);
+    RouteState* r = FindRoute(insert.table);
     if (r == nullptr) {
       // Static tables replicate: the same INSERT lands on every shard.
       // Unrouted streams (query outputs, sys.*) cannot take frontend rows.
-      bool is_stream = shards_[0]->GetBasket(stmt.table).ok();
+      bool is_stream = shards_[0]->GetBasket(insert.table).ok();
       if (is_stream) {
         return Status::FailedPrecondition(
-            "stream '" + stmt.table + "' has no frontend ingest route");
+            "stream '" + insert.table + "' has no frontend ingest route");
       }
-      return FanOut(sql);
+      return FanOut(stmt);
     }
     user = r->user_schema;
   }
-  std::vector<size_t> positions;
-  if (!stmt.columns.empty()) {
-    for (const std::string& col : stmt.columns) {
-      auto idx = user.IndexOf(col);
-      if (!idx.has_value()) {
-        return Status::NotFound("unknown column '" + col + "' in INSERT");
-      }
-      positions.push_back(*idx);
-    }
-  }
-  std::vector<Row> rows;
-  rows.reserve(stmt.rows.size());
-  for (const auto& ast_row : stmt.rows) {
-    size_t expected =
-        stmt.columns.empty() ? user.num_fields() : stmt.columns.size();
-    if (ast_row.size() != expected) {
-      return Status::InvalidArgument("INSERT row arity mismatch");
-    }
-    Row row(user.num_fields(), Value::Null());
-    for (size_t i = 0; i < ast_row.size(); ++i) {
-      DC_ASSIGN_OR_RETURN(Value v, EvalConstInsert(*ast_row[i]));
-      size_t pos = stmt.columns.empty() ? i : positions[i];
-      row[pos] = std::move(v);
-    }
-    rows.push_back(std::move(row));
-  }
-  return IngestBatch(stmt.table, rows);
+  DC_ASSIGN_OR_RETURN(std::vector<Row> rows, sql::InsertRows(insert, user));
+  return IngestBatch(insert.table, rows);
 }
 
 Result<TablePtr> ShardedEngine::ExecuteGatherSelect(
@@ -677,6 +600,25 @@ Result<TablePtr> ShardedEngine::ExecuteGatherSelect(
 Result<QueryId> ShardedEngine::SubmitContinuousQuery(const std::string& name,
                                                      const std::string& sql,
                                                      QueryOptions options) {
+  if (Engine* e = direct()) {
+    // One shard: the engine runs pass 3 itself; its report and effective
+    // verdict fill the placement, and no route or merge stage is built.
+    std::lock_guard<std::mutex> lock(routes_mu_);
+    DC_ASSIGN_OR_RETURN(QueryId local,
+                        e->SubmitContinuousQuery(name, sql, options));
+    DC_DCHECK_EQ(local, placements_.size());
+    const Engine::QueryInfo* info = *e->GetQuery(local);
+    QueryPlacement placement;
+    placement.name = name;
+    placement.report = info->partition;
+    placement.verdict = e->EffectivePartitionVerdict(*info);
+    placement.placement = "shard 0 (only shard)";
+    placement.home_shard = 0;
+    placement.shard_queries.emplace_back(0, local);
+    placements_.push_back(std::move(placement));
+    merge_emitters_.push_back(nullptr);
+    return local;
+  }
   DC_ASSIGN_OR_RETURN(sql::Statement stmt, sql::ParseStatement(sql));
   if (stmt.kind != sql::Statement::Kind::kSelect) {
     return Status::InvalidArgument("continuous queries must be SELECTs");
@@ -1122,6 +1064,20 @@ std::string ShardedEngine::ShardsReport() const {
     out += "  q" + std::to_string(q) + " '" + p.name + "': " +
            analysis::PartitionVerdictName(p.verdict) + " -> " + p.placement +
            "\n";
+  }
+  return out;
+}
+
+analysis::AnalysisReport ShardedEngine::Analyze() const {
+  analysis::AnalysisReport out;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const analysis::AnalysisReport report = shards_[s]->Analyze();
+    for (analysis::Diagnostic d : report.diagnostics()) {
+      if (shards_.size() > 1) {
+        d.message = "shard " + std::to_string(s) + ": " + d.message;
+      }
+      out.Add(std::move(d));
+    }
   }
   return out;
 }

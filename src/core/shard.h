@@ -104,6 +104,11 @@ class MergeEmitter final : public Transition {
 /// Conflicting constraints (e.g. a broadcast consumer joining a stream that
 /// existing consumers hash-split) reject the NEW query with
 /// FailedPrecondition; earlier placements are never disturbed.
+///
+/// With one shard there is nothing to route or merge: every SQL statement,
+/// query submission and ingest call is handed to shard 0 unchanged and
+/// returns what the same call on a plain Engine returns. Frontend query ids
+/// then equal shard 0's, and no stream has a route.
 class ShardedEngine {
  public:
   explicit ShardedEngine(ShardedEngineOptions options = {});
@@ -117,7 +122,8 @@ class ShardedEngine {
   /// router; one-time SELECTs gather (baskets bind the concatenated
   /// per-shard snapshots). Continuous SELECTs are rejected here.
   Result<TablePtr> ExecuteSql(const std::string& sql);
-  /// ';'-separated statements through ExecuteSql; stops at the first error.
+  /// ';'-separated statements as ExecuteSql runs them; stops at the first
+  /// error and returns the last SELECT's result (as Engine::ExecuteScript).
   Result<TablePtr> ExecuteScript(const std::string& script);
 
   /// Classifies `sql` with the partition analyzer and places it across the
@@ -171,7 +177,7 @@ class ShardedEngine {
     /// Human-readable placement, e.g. "all 4 shards (concat)",
     /// "shard 2 (pinned: <reason>)".
     std::string placement;
-    int home_shard = -1;  // >= 0 for pinned placements
+    int home_shard = -1;  // >= 0 for pinned and one-shard placements
     bool merged = false;  // frontend merge stage installed
     std::shared_ptr<const analysis::PartitionReport> report;
     /// (shard index, shard-local query id) for every installed instance.
@@ -199,7 +205,18 @@ class ShardedEngine {
   /// stream routes, and per-query placements.
   std::string ShardsReport() const;
 
+  /// Union of every shard's Engine::Analyze() report. Shard nets can
+  /// diverge (pinned queries live on one shard, state bounds differ with
+  /// placement), so with several shards each finding's message starts with
+  /// "shard <i>: "; with one shard the report is shard 0's as is.
+  analysis::AnalysisReport Analyze() const;
+
  private:
+  /// Shard 0 when it is the only shard (see the class comment), else null.
+  Engine* direct() const {
+    return shards_.size() == 1 ? shards_[0].get() : nullptr;
+  }
+
   struct RouteState {
     StreamRoute route;
     Schema user_schema;
@@ -260,10 +277,10 @@ class ShardedEngine {
   Status RegisterRoute(const std::string& name, const Schema& user_schema,
                        const std::string& partition_key);
 
+  Result<TablePtr> ExecuteStatement(const sql::Statement& stmt);
   Result<TablePtr> ExecuteGatherSelect(const sql::SelectStmt& stmt);
-  Status ExecuteInsertRouted(const std::string& sql,
-                             const sql::InsertStmt& stmt);
-  Status FanOut(const std::string& sql);
+  Status ExecuteInsertRouted(const sql::Statement& stmt);
+  Status FanOut(const sql::Statement& stmt);
 
   Counter* RoutedCounter(size_t shard);
 

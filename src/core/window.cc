@@ -1,6 +1,7 @@
 #include "core/window.h"
 
 #include <algorithm>
+#include <atomic>
 #include <span>
 
 #include "common/check.h"
@@ -119,27 +120,25 @@ class ReEvalWindowExecutor final : public WindowExecutor {
   Status AdvanceTime(const ExecContext& ctx, Table* out) {
     const Bat& ts = *buffer_->column(ts_column_);
     if (ts.size() == 0) return Status::OK();
+    Timestamp min_ts = ts.Int64At(0);
+    Timestamp max_ts = min_ts;
+    for (size_t i = 1; i < ts.size(); ++i) {
+      min_ts = std::min(min_ts, ts.Int64At(i));
+      max_ts = std::max(max_ts, ts.Int64At(i));
+    }
+    // Anchor the first window at the earliest tuple seen.
     if (!started_) {
-      // Anchor the first window at the earliest tuple seen.
-      Timestamp min_ts = ts.Int64At(0);
-      for (size_t i = 1; i < ts.size(); ++i) {
-        min_ts = std::min(min_ts, ts.Int64At(i));
-      }
       window_start_ = min_ts;
       started_ = true;
     }
-    while (true) {
-      const Bat& cur_ts = *buffer_->column(ts_column_);
-      Timestamp max_ts = cur_ts.size() == 0 ? window_start_ : cur_ts.Int64At(0);
-      for (size_t i = 1; i < cur_ts.size(); ++i) {
-        max_ts = std::max(max_ts, cur_ts.Int64At(i));
-      }
+    // A window closes once a tuple at/after its end has been observed —
+    // the scheduler monitors incoming timestamps (§3.1). Expiry removes
+    // only tuples before the next window's start, so the buffer's maximum
+    // stands until the buffer empties.
+    while (buffer_->num_rows() > 0 && max_ts >= window_start_ + window_.size) {
       Timestamp window_end = window_start_ + window_.size;
-      // A window closes once a tuple at/after its end has been observed —
-      // the scheduler monitors incoming timestamps (§3.1).
-      if (cur_ts.size() == 0 || max_ts < window_end) break;
-      std::vector<size_t> in_window =
-          SelectRangeInt64(cur_ts, window_start_, window_end - 1);
+      std::vector<size_t> in_window = SelectRangeInt64(
+          *buffer_->column(ts_column_), window_start_, window_end - 1);
       DC_RETURN_NOT_OK(
           RunWindow(TablePtr(buffer_->Take(in_window)), ctx, out));
       window_start_ += window_.slide;
@@ -398,7 +397,8 @@ class TimeIncrementalWindowExecutor final : public IncrementalCore {
       Timestamp t = ts.Int64At(i);
       max_seen_ = std::max(max_seen_, t);
       if (t < anchor_ + next_window_ * slide_us_) {
-        ++late_dropped_;  // older than every live window
+        // Older than every live window.
+        late_dropped_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       by_chunk[(t - anchor_) / slide_us_].push_back(i);
@@ -433,7 +433,9 @@ class TimeIncrementalWindowExecutor final : public IncrementalCore {
   }
 
   size_t buffered() const override { return chunks_.size(); }
-  int64_t late_dropped() const { return late_dropped_; }
+  int64_t late_dropped() const override {
+    return late_dropped_.load(std::memory_order_relaxed);
+  }
 
  private:
   Schema output_schema_;
@@ -446,7 +448,7 @@ class TimeIncrementalWindowExecutor final : public IncrementalCore {
   Timestamp max_seen_ = 0;
   int64_t next_window_ = 0;  // index of the oldest unemitted window
   std::map<int64_t, ChunkSummary> chunks_;
-  int64_t late_dropped_ = 0;
+  std::atomic<int64_t> late_dropped_{0};
 };
 
 }  // namespace

@@ -47,6 +47,10 @@ class WindowExecutor {
   /// Tuples currently buffered awaiting window completion.
   virtual size_t buffered() const = 0;
 
+  /// Tuples dropped because they arrived older than every live window.
+  /// Safe to read while another thread advances the executor.
+  virtual int64_t late_dropped() const { return 0; }
+
   /// "reeval" or "incremental" (for introspection and EXPERIMENTS.md).
   virtual const char* mode_name() const = 0;
 

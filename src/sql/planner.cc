@@ -605,5 +605,49 @@ Result<CompiledQuery> Planner::CompileSelect(const SelectStmt& stmt) const {
   return compiler.Compile();
 }
 
+namespace {
+
+Result<Value> EvalConstInsert(const AstExpr& e) {
+  if (e.kind == AstExprKind::kLiteral) return e.literal;
+  if (e.kind == AstExprKind::kUnary && e.unary_op == AstUnaryOp::kNeg) {
+    DC_ASSIGN_OR_RETURN(Value v, EvalConstInsert(*e.children[0]));
+    if (v.is_int64()) return Value::Int64(-v.int64_value());
+    if (v.is_double()) return Value::Double(-v.double_value());
+    return Status::TypeError("cannot negate non-numeric literal");
+  }
+  return Status::InvalidArgument(
+      "INSERT values must be literals: " + e.ToString());
+}
+
+}  // namespace
+
+Result<std::vector<Row>> InsertRows(const InsertStmt& stmt,
+                                    const Schema& columns) {
+  std::vector<size_t> positions;
+  for (const std::string& col : stmt.columns) {
+    auto idx = columns.IndexOf(col);
+    if (!idx.has_value()) {
+      return Status::NotFound("unknown column '" + col + "' in INSERT");
+    }
+    positions.push_back(*idx);
+  }
+  const size_t expected =
+      stmt.columns.empty() ? columns.num_fields() : stmt.columns.size();
+  std::vector<Row> rows;
+  rows.reserve(stmt.rows.size());
+  for (const auto& ast_row : stmt.rows) {
+    if (ast_row.size() != expected) {
+      return Status::InvalidArgument("INSERT row arity mismatch");
+    }
+    Row row(columns.num_fields(), Value::Null());
+    for (size_t i = 0; i < ast_row.size(); ++i) {
+      DC_ASSIGN_OR_RETURN(row[positions.empty() ? i : positions[i]],
+                          EvalConstInsert(*ast_row[i]));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
 }  // namespace sql
 }  // namespace datacell

@@ -58,6 +58,12 @@ class Planner {
   const Catalog* catalog_;
 };
 
+/// Materialises an INSERT's literal rows (optionally negated numbers) over
+/// `columns`, the relation's user columns: a column list permutes the
+/// values and leaves unlisted columns NULL. Types are checked on append.
+Result<std::vector<Row>> InsertRows(const InsertStmt& stmt,
+                                    const Schema& columns);
+
 }  // namespace sql
 }  // namespace datacell
 

@@ -573,6 +573,7 @@ TEST(MetricsGolden, ObservedEngineSeries) {
            "datacell_profile_fire_time_ns_total",
            "datacell_profile_step_time_ns_total",
            "datacell_profile_step_rows_total",
+           "datacell_query_late_dropped_tuples",
            // The monitor is itself an instrumented transition.
            "transition=\"monitor\"",
            // Its output baskets are wired and gauged like any other.
@@ -581,6 +582,42 @@ TEST(MetricsGolden, ObservedEngineSeries) {
     EXPECT_NE(text.find(series), std::string::npos)
         << "missing series " << series;
   }
+}
+
+// A time window drops tuples older than every live window; the per-query
+// gauge makes that loss visible.
+TEST(MetricsGauges, LateWindowTuplesAreCounted) {
+  EngineOptions opts;
+  opts.use_wall_clock = false;
+  Engine engine(opts);
+  ASSERT_TRUE(engine.ExecuteSql("create basket r (x int)").ok());
+  auto q = engine.SubmitContinuousQuery(
+      "w", "select count(*) as c from [select * from r] as t "
+           "window range 2 seconds slide 2 seconds");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_STREQ((*engine.GetQuery(*q))->factory->window_mode_name(),
+               "incremental");
+  const int64_t kSec = 1000000;
+  // Tuples at 0s, 1s and 3s close the window [0s, 2s).
+  for (int64_t t : {0, 1, 3}) {
+    engine.simulated_clock()->SetTime(t * kSec);
+    ASSERT_TRUE(engine.Ingest("r", {Value::Int64(t)}).ok());
+    engine.Drain();
+  }
+  // A columnar batch stamped at 0.5s is older than the live window
+  // [2s, 4s): both of its tuples are dropped.
+  auto basket = engine.GetBasket("r");
+  ASSERT_TRUE(basket.ok());
+  ColumnBatch late((*basket)->user_schema());
+  late.column(0).AppendInt64(10);
+  late.column(0).AppendInt64(11);
+  ASSERT_TRUE((*basket)->AppendColumns(std::move(late), kSec / 2).ok());
+  engine.Drain();
+  MetricsSnapshotData snap = engine.MetricsSnapshot();
+  const GaugeSnapshot* dropped =
+      snap.FindGauge("datacell_query_late_dropped_tuples", "w");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->value, 2);
 }
 
 // --- HTTP observability endpoint -----------------------------------------

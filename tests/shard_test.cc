@@ -5,6 +5,7 @@
 // tests and a concurrent-ingest stress shape for the TSan job.
 
 #include <atomic>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -138,7 +139,7 @@ TEST(ShardEquivalenceTest, AvgReDivisionMergesExactly) {
   for (size_t n : {1u, 2u, 4u}) {
     TwinRun r = RunTwin(setup, "mean", q, "sensors", SensorRows(200), n);
     EXPECT_EQ(r.verdict, analysis::PartitionVerdict::kNeedsFinalMerge);
-    EXPECT_TRUE(r.merged);
+    EXPECT_EQ(r.merged, n > 1);  // one shard needs no merge stage
     EXPECT_EQ(r.reference, r.sharded) << "num_shards=" << n;
     EXPECT_EQ(r.reference.size(), 1u);
   }
@@ -159,7 +160,7 @@ TEST(ShardEquivalenceTest, OrderedTopKMergesAcrossShards) {
   for (size_t n : {1u, 2u, 4u}) {
     TwinRun r = RunTwin(setup, "ranked", q, "scores", rows, n);
     EXPECT_EQ(r.verdict, analysis::PartitionVerdict::kNeedsFinalMerge);
-    EXPECT_TRUE(r.merged);
+    EXPECT_EQ(r.merged, n > 1);  // one shard needs no merge stage
     EXPECT_EQ(r.reference, r.sharded) << "num_shards=" << n;
     EXPECT_EQ(r.sharded.size(), 10u);
   }
@@ -198,6 +199,130 @@ TEST(ShardEquivalenceTest, PinnedLimitRunsWholeOnOneShard) {
     EXPECT_GE(r.home_shard, 0);
     EXPECT_EQ(r.reference, r.sharded) << "num_shards=" << n;
     EXPECT_EQ(r.sharded.size(), 5u);
+  }
+}
+
+// --- one shard is a plain engine ------------------------------------------
+
+/// One step of a parity script: a SQL statement, a continuous query (when
+/// `query` names one), or a row batch ingested into `stream`.
+struct ParityStep {
+  std::string sql;
+  std::string query;
+  std::string stream;
+  std::vector<Row> rows;
+};
+
+ParityStep Sql(std::string sql) { return {std::move(sql), "", "", {}}; }
+ParityStep Query(std::string name, std::string sql) {
+  return {std::move(sql), std::move(name), "", {}};
+}
+ParityStep Rows(std::string stream, std::vector<Row> rows) {
+  return {"", "", std::move(stream), std::move(rows)};
+}
+
+struct ParityRun {
+  std::vector<std::string> statuses;  // one per step
+  std::map<std::string, std::multiset<std::string>> results;  // per query
+  std::string analysis;
+};
+
+std::vector<std::string> QueryNames(const Engine& engine) {
+  std::vector<std::string> names;
+  for (QueryId id = 0; id < engine.num_queries(); ++id) {
+    names.push_back((*engine.GetQuery(id))->name);
+  }
+  return names;
+}
+
+/// Runs `steps` on `engine` (an Engine or a ShardedEngine), draining after
+/// each, and records every status, each query's result multiset and the
+/// Analyze() rendering.
+template <typename E>
+ParityRun RunParity(E& engine, const std::vector<ParityStep>& steps) {
+  ParityRun out;
+  std::map<std::string, std::shared_ptr<CollectingSink>> sinks;
+  for (const ParityStep& step : steps) {
+    Status st;
+    if (!step.query.empty()) {
+      auto q = engine.SubmitContinuousQuery(step.query, step.sql);
+      st = q.status();
+      if (q.ok()) {
+        sinks[step.query] = std::make_shared<CollectingSink>();
+        st = engine.Subscribe(*q, sinks[step.query]);
+      }
+    } else if (!step.stream.empty()) {
+      st = engine.IngestBatch(step.stream, step.rows);
+    } else {
+      st = engine.ExecuteSql(step.sql).status();
+    }
+    out.statuses.push_back(st.ToString());
+    engine.Drain();
+  }
+  for (const auto& [name, sink] : sinks) {
+    out.results[name] = Multiset(sink->TakeRows());
+  }
+  out.analysis = engine.Analyze().ToString();
+  return out;
+}
+
+TEST(ShardParityTest, OneShardMatchesPlainEngine) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 12; ++i) {
+    rows.push_back({Value::Int64(i % 3), Value::Int64(i % 5)});
+  }
+  const std::vector<std::vector<ParityStep>> scripts = {
+      // A second GROUP BY on another column: nothing to co-locate.
+      {Sql("create basket s (k int, v int) partition by k"),
+       Query("by_k",
+             "select k, count(*) as n from [select * from s] as t group by k"),
+       Query("by_v",
+             "select v, count(*) as n from [select * from s] as t group by v"),
+       Rows("s", rows)},
+      // A query over a global aggregate's output.
+      {Sql("create basket s (k int, v int)"),
+       Query("g",
+             "select count(*) as c, sum(v) as total from [select * from s] "
+             "as t"),
+       Query("u", "select * from [select * from g_out] as u"), Rows("s", rows),
+       Sql("insert into s values (7, 70)")},
+      // A global aggregate runs whole: no partials, no merge stage.
+      {Sql("create basket s (k int, v int)"),
+       Query("c", "select count(*) as c from [select * from s] as t"),
+       Rows("s", rows)},
+      // Rows inserted straight into a query's output stream.
+      {Sql("create basket s (k int, v int)"),
+       Sql("create table dims (k int, name varchar)"),
+       Sql("insert into dims values (1, 'one'), (2, 'two')"),
+       Query("j",
+             "select t.k, d.name from [select * from s] as t "
+             "join dims as d on t.k = d.k"),
+       Query("jj", "select * from [select * from j_out] as x"),
+       Rows("s", rows), Sql("insert into j_out values (9, 'nine')")},
+  };
+  for (size_t i = 0; i < scripts.size(); ++i) {
+    SCOPED_TRACE("script " + std::to_string(i));
+    Engine ref(Deterministic());
+    ParityRun want = RunParity(ref, scripts[i]);
+    ShardedEngineOptions so;
+    so.num_shards = 1;
+    so.engine = Deterministic();
+    ShardedEngine se(so);
+    ParityRun got = RunParity(se, scripts[i]);
+    for (const std::string& st : want.statuses) EXPECT_EQ(st, "OK");
+    EXPECT_EQ(got.statuses, want.statuses);
+    EXPECT_EQ(got.results, want.results);
+    EXPECT_EQ(got.analysis, want.analysis);
+    EXPECT_EQ(QueryNames(se.shard(0)), QueryNames(ref));
+    // Frontend ids are shard 0's, and pass 3 still fills the placement.
+    for (QueryId id = 0; id < se.num_queries(); ++id) {
+      auto p = se.GetPlacement(id);
+      ASSERT_TRUE(p.ok());
+      EXPECT_EQ((*p)->name, (*ref.GetQuery(id))->name);
+      EXPECT_NE((*p)->report, nullptr);
+      EXPECT_FALSE((*p)->merged);
+      EXPECT_EQ((*p)->shard_queries.front(), std::make_pair(size_t{0}, id));
+    }
   }
 }
 
@@ -290,8 +415,9 @@ TEST(ShardRouterTest, ColumnarIngestMatchesRowIngest) {
 }
 
 TEST(ShardRouterTest, IllTypedRowRejectsTheWholeBatch) {
-  // Row ingest is all or nothing on the sharded engine as on one engine:
-  // a bad row sent to shard 1 must not let shard 0 keep the rows before it.
+  // Row ingest and INSERT are all or nothing on the sharded engine as on
+  // one engine: a bad row sent to shard 1 must not let shard 0 keep the
+  // rows before it.
   constexpr size_t kShards = 2;
   std::vector<Row> rows;
   for (int i = 0; i < 16; ++i) {
@@ -303,7 +429,9 @@ TEST(ShardRouterTest, IllTypedRowRejectsTheWholeBatch) {
 
   Engine ref(Deterministic());
   ASSERT_TRUE(ref.ExecuteSql("create basket s (id int, v double)").ok());
+  const std::string bad_insert = "insert into s values (1, 1.0), (2, 'x')";
   EXPECT_TRUE(ref.IngestBatch("s", rows).IsTypeError());
+  EXPECT_TRUE(ref.ExecuteSql(bad_insert).status().IsTypeError());
   EXPECT_EQ(ref.tuples_ingested(), 0);
 
   ShardedEngineOptions so;
@@ -314,6 +442,7 @@ TEST(ShardRouterTest, IllTypedRowRejectsTheWholeBatch) {
       se.ExecuteSql("create basket s (id int, v double) partition by id")
           .ok());
   EXPECT_TRUE(se.IngestBatch("s", rows).IsTypeError());
+  EXPECT_TRUE(se.ExecuteSql(bad_insert).status().IsTypeError());
   for (size_t i = 0; i < se.num_shards(); ++i) {
     EXPECT_EQ(se.shard(i).tuples_ingested(), 0) << "shard " << i;
   }

@@ -26,8 +26,8 @@
 // --shards N (N > 1) additionally replays each script against a live
 // N-shard ShardedEngine, records the resulting placement (or the
 // rejection reason) per query as a "placement" field in the report, and
-// unions every shard's own Analyze() findings into the diagnostics, each
-// prefixed with its shard label. The default output is unchanged, so
+// adds the sharded engine's Analyze() findings (every shard's, each message
+// naming its shard) to the diagnostics. The default output is unchanged, so
 // golden diffs stay stable.
 //
 // Exit status: 1 when any error-severity diagnostic was produced (with
@@ -229,10 +229,8 @@ const char* SeverityName(analysis::Severity s) {
 
 /// Emits every finding of `report`. `stmt_line` anchors statement-relative
 /// source positions to the file (0 = file-level report, e.g. the net pass).
-/// `label` (e.g. "shard 1: ") prefixes each message in --shards mode.
 void EmitReport(const char* file, size_t stmt_line,
-                const analysis::AnalysisReport& report, LintOutput* out,
-                const std::string& label = "") {
+                const analysis::AnalysisReport& report, LintOutput* out) {
   for (const analysis::Diagnostic& d : report.diagnostics()) {
     LintDiag ld;
     ld.code = analysis::DiagCodeId(d.code);
@@ -245,8 +243,7 @@ void EmitReport(const char* file, size_t stmt_line,
     } else {
       ld.line = stmt_line;
     }
-    ld.message =
-        label + std::string(analysis::DiagCodeName(d.code)) + ": " + d.message;
+    ld.message = std::string(analysis::DiagCodeName(d.code)) + ": " + d.message;
     if (!d.object.empty()) ld.message += " [in " + d.object + "]";
     Emit(out, std::move(ld));
   }
@@ -507,14 +504,7 @@ int main(int argc, char** argv) {
     }
     analysis::AnalysisReport net = engine.Analyze();
     EmitReport(path, 0, net, &out);
-    if (sim != nullptr) {
-      // Shard nets can diverge (pinned queries live on one shard only), so
-      // each shard's own analysis is unioned in under its label.
-      for (size_t s = 0; s < sim->engine->num_shards(); ++s) {
-        EmitReport(path, 0, sim->engine->shard(s).Analyze(), &out,
-                   "shard " + std::to_string(s) + ": ");
-      }
-    }
+    if (sim != nullptr) EmitReport(path, 0, sim->engine->Analyze(), &out);
     CollectPartitions(path, &engine, sim.get(), query_lines, &out);
     CollectStateBounds(path, &engine, query_lines, &out);
   }
